@@ -18,10 +18,30 @@
 // In both modes node matches of the target query node are terminal (never
 // expanded), exactly as in the paper, and at most one match per distinct
 // target node is emitted in optimal mode.
+//
+// Per-step costs. The heuristic m(u) of Lemma 1 reads u's distinct incident
+// predicates from the graph's per-node index (GraphView::DistinctPredicates)
+// instead of scanning its adjacency. The paper-mode visited set is one bit
+// per graph node, and a second bitset over (node, stage) pairs counts how
+// much of the semantic graph the search materialized; both belong to the
+// search, never to a thread, so searches of concurrent queries interleave
+// freely on a shared pool.
+//
+// Resumption. An AStarSearcher keeps its whole state — arena, queue,
+// bitsets, weights, emitted targets, stats — between Continue calls, so a
+// caller that needs more matches (the engine's retry rounds) keeps popping
+// instead of restarting. Continuing from k to k' performs exactly the
+// operations of a fresh search with k': pop order is fixed (priority, then
+// push sequence), the only early break is the goal count, and the
+// max_expansions cap and the interrupt / should_stop polls all count pops
+// since the start.
 #ifndef KGSEARCH_CORE_ASTAR_SEARCH_H_
 #define KGSEARCH_CORE_ASTAR_SEARCH_H_
 
 #include <functional>
+#include <queue>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/path_match.h"
@@ -31,6 +51,7 @@
 #include "kg/graph.h"
 #include "kg/graph_view.h"
 #include "util/status.h"
+#include "util/topk_heap.h"
 
 namespace kgsearch {
 
@@ -91,7 +112,90 @@ struct SearchStats {
   bool exhausted = false;        ///< priority queue drained
 };
 
-/// Top-k semantic path search for one resolved sub-query graph.
+/// One resumable sub-query search (see file comment).
+class AStarSearcher {
+ public:
+  /// Validates the inputs and seeds the queue with the start candidates
+  /// (Algorithm 1 line 1). The view's graph and snapshot, `space` and
+  /// `subquery` must outlive the searcher. `config.k` is not read; each
+  /// Continue call names its own match target.
+  static Result<AStarSearcher> Start(const GraphView& graph,
+                                     const PredicateSpace& space,
+                                     const ResolvedSubQuery& subquery,
+                                     const AStarConfig& config);
+
+  /// Pops until `k` matches have been emitted since Start (optimal mode),
+  /// the queue drains, `max_expansions` pops have been made since Start, or
+  /// should_stop fires (anytime mode). Appends to `*matches`, in descending
+  /// pss, the optimal-mode matches this call emitted, or the anytime
+  /// matches retained when the search stopped (anytime searches are run by
+  /// one call, not resumed). A non-OK status is the interrupt's, and the
+  /// search must not be continued after it.
+  Status Continue(size_t k, std::vector<PathMatch>* matches);
+
+  /// Counters since Start.
+  const SearchStats& stats() const { return stats_; }
+
+ private:
+  /// One explored partial path, stored in an arena with parent links.
+  struct SearchNode {
+    NodeId node;
+    int32_t parent;          ///< arena index; -1 for start pseudo-states
+    PredicateId via_pred;    ///< predicate of the edge into `node`
+    float via_weight;        ///< semantic weight of that edge
+    uint16_t stage;          ///< query edge currently being matched
+    uint16_t hops_in_stage;  ///< hops consumed on that query edge (0 at start)
+    uint16_t depth;          ///< total hops from the start node
+    double log_sum;          ///< sum of log-weights along the partial path
+  };
+  /// Priority-queue entry; ties broken by insertion order for determinism.
+  struct QueueEntry {
+    double priority;
+    uint64_t seq;
+    int32_t index;
+    bool is_goal;
+  };
+  struct QueueLess {
+    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+      if (a.priority != b.priority) return a.priority < b.priority;
+      return a.seq > b.seq;
+    }
+  };
+
+  AStarSearcher(const GraphView& graph, const PredicateSpace& space,
+                const ResolvedSubQuery& subquery, const AStarConfig& config);
+
+  /// m(u) at `stage`, counting each distinct (u, stage) pair once.
+  double Bound(NodeId u, uint16_t stage);
+  void PushChild(const SearchNode& parent, int32_t parent_index,
+                 const AdjEntry& adj, uint16_t stage, uint16_t hops_in_stage);
+  PathMatch Reconstruct(int32_t index) const;
+
+  GraphView graph_;
+  const ResolvedSubQuery* subquery_;
+  AStarConfig config_;
+  SemanticWeights weights_;
+  size_t num_stages_;
+  double total_bound_;  ///< N̂ = n̂ per query edge
+  size_t check_interval_;
+
+  std::vector<SearchNode> arena_;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, QueueLess> queue_;
+  uint64_t seq_ = 0;
+  /// kPaperNodeVisited push-time dedup: node already admitted to the queue.
+  std::vector<bool> visited_;
+  /// (node * num_stages + stage) whose m(u) was evaluated.
+  std::vector<bool> materialized_;
+  size_t materialized_count_ = 0;
+  /// kExactState pop-time dedup over packed (node, stage, hops) states.
+  std::unordered_set<uint64_t> expanded_;
+  std::unordered_map<NodeId, size_t> emitted_targets_;  ///< goal dedup
+  TopKHeap<PathMatch> anytime_matches_;  ///< anytime mode, best-cap retention
+  SearchStats stats_;
+};
+
+/// Top-k semantic path search for one resolved sub-query graph: an
+/// AStarSearcher started and continued to `config.k` matches.
 ///
 /// Returns matches in descending pss order. In optimal mode (anytime=false)
 /// the result is globally optimal among paths within the hop bound

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "util/thread_pool.h"
@@ -108,35 +109,43 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
     resolved.push_back(std::move(r).ValueOrDie());
   }
 
+  // One search per sub-query for the whole query: a retry round continues
+  // each search to the doubled budget instead of restarting it, which emits
+  // exactly the matches and stats a fresh search at that budget would (see
+  // core/astar_search.h), and appends to the same match set.
+  std::vector<std::optional<AStarSearcher>> searches(n);
+  std::vector<std::vector<PathMatch>> match_sets(n);
   result.subquery_stats.assign(n, SearchStats{});
   size_t budget = std::max<size_t>(options.budget_factor * options.k, 16);
 
   for (size_t round = 0; round <= options.max_retry_rounds; ++round) {
-    // One A* semantic search per sub-query graph, in parallel.
-    std::vector<std::vector<PathMatch>> match_sets(n);
+    // Every sub-query search advances in parallel.
     std::vector<Status> statuses(n, Status::OK());
     std::vector<std::function<void()>> tasks;
     tasks.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       tasks.push_back([&, i] {
-        AStarConfig config;
-        config.k = budget;
-        config.tau = options.tau;
-        config.n_hat = options.n_hat;
-        config.max_expansions = options.max_expansions;
-        config.dedup = options.dedup;
-        config.max_matches_per_target = options.matches_per_target;
-        if (options.cancel != nullptr || options.deadline_micros > 0) {
-          config.interrupt = interrupt;
-          config.stop_check_interval = options.stop_check_interval;
+        if (!searches[i]) {
+          AStarConfig config;
+          config.tau = options.tau;
+          config.n_hat = options.n_hat;
+          config.max_expansions = options.max_expansions;
+          config.dedup = options.dedup;
+          config.max_matches_per_target = options.matches_per_target;
+          if (options.cancel != nullptr || options.deadline_micros > 0) {
+            config.interrupt = interrupt;
+            config.stop_check_interval = options.stop_check_interval;
+          }
+          Result<AStarSearcher> started =
+              AStarSearcher::Start(view, *space_, resolved[i], config);
+          if (!started.ok()) {
+            statuses[i] = started.status();
+            return;
+          }
+          searches[i].emplace(std::move(started).ValueOrDie());
         }
-        Result<std::vector<PathMatch>> r = AStarSearch(
-            view, *space_, resolved[i], config, &result.subquery_stats[i]);
-        if (r.ok()) {
-          match_sets[i] = std::move(r).ValueOrDie();
-        } else {
-          statuses[i] = r.status();
-        }
+        statuses[i] = searches[i]->Continue(budget, &match_sets[i]);
+        result.subquery_stats[i] = searches[i]->stats();
       });
     }
     if (options.executor != nullptr) {

@@ -7,7 +7,7 @@ namespace kgsearch {
 SemanticWeights::SemanticWeights(const GraphView& graph,
                                  const PredicateSpace* space,
                                  const ResolvedSubQuery* subquery)
-    : graph_(graph), subquery_(subquery) {
+    : graph_(graph) {
   KG_CHECK(space != nullptr && subquery != nullptr);
   const size_t num_preds = graph.NumPredicates();
   const size_t stages = subquery->Length();
@@ -34,15 +34,12 @@ SemanticWeights::SemanticWeights(const GraphView& graph,
 
 double SemanticWeights::MaxAdjacentWeight(NodeId u, size_t stage) const {
   KG_CHECK(stage < rowmax_.size());
-  uint64_t key = (static_cast<uint64_t>(u) << 8) | stage;
-  auto it = m_cache_.find(key);
-  if (it != m_cache_.end()) return it->second;
+  const std::vector<double>& row = rowmax_[stage];
   double m = kMinWeight;
-  for (const AdjEntry& e : graph_.Neighbors(u)) {
-    m = std::max(m, rowmax_[stage][e.predicate]);
+  for (PredicateId p : graph_.DistinctPredicates(u)) {
+    m = std::max(m, row[p]);
     if (m >= 1.0) break;
   }
-  m_cache_.emplace(key, m);
   return m;
 }
 

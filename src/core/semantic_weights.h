@@ -3,14 +3,15 @@
 // Rather than building the full semantic graph SGQ up front ("high traversal
 // cost"), weights are derived on the fly while the A* search expands: this
 // class precomputes, per resolved sub-query, the similarity row of each query
-// predicate against the whole predicate vocabulary (O(L·|P|), tiny), and
-// caches the per-node heuristic bound m(u) (Lemma 1) on demand. Nodes/edges
-// touched are counted, which quantifies how much of SGQ was materialized
-// (the pruning percentages of Example 5).
+// predicate against the whole predicate vocabulary (O(L·|P|), tiny), plus
+// their suffix maxima over stages. The heuristic bound m(u) (Lemma 1) is then
+// a maximum of those suffix maxima over u's distinct incident predicates,
+// read from the graph's per-node distinct-predicate index — a few entries
+// per node whatever its degree, so nothing is cached. How much of SGQ a
+// search materialized is counted by the search itself (SearchStats).
 #ifndef KGSEARCH_CORE_SEMANTIC_WEIGHTS_H_
 #define KGSEARCH_CORE_SEMANTIC_WEIGHTS_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/resolved_query.h"
@@ -38,22 +39,16 @@ class SemanticWeights {
 
   /// m(u) for a search frontier at `u` about to match query edges >= stage:
   /// the maximum weight over u's incident edges against any remaining query
-  /// predicate. Upper-bounds the next traversed weight (Lemma 1). Cached.
+  /// predicate. Upper-bounds the next traversed weight (Lemma 1).
   double MaxAdjacentWeight(NodeId u, size_t stage) const;
-
-  /// Number of distinct nodes whose adjacency was materialized.
-  size_t materialized_nodes() const { return m_cache_.size(); }
 
  private:
   GraphView graph_;
-  const ResolvedSubQuery* subquery_;
   /// rows_[stage][pred] = clamped similarity of query predicate `stage`
   /// against vocabulary predicate `pred`.
   std::vector<std::vector<double>> rows_;
   /// rowmax_[stage][pred] = max over query stages >= stage of rows_.
   std::vector<std::vector<double>> rowmax_;
-  /// cache key packs (node, stage).
-  mutable std::unordered_map<uint64_t, double> m_cache_;
 };
 
 }  // namespace kgsearch

@@ -53,7 +53,7 @@ NodeId EnsureNode(DeltaSnapshot& s, const KnowledgeGraph& base,
   s.node_names.emplace_back(name);
   s.node_types.push_back(tid);
   s.name_index.emplace(std::string(name), id);
-  s.adjacency.emplace(id, std::vector<AdjEntry>{});
+  s.nodes.emplace(id, DeltaSnapshot::Node{});
   // New ids are strictly increasing, so appending keeps the per-type
   // addition list ascending — the GraphView concat range stays sorted.
   s.type_members[tid].push_back(id);
@@ -71,17 +71,50 @@ PredicateId EnsurePredicate(DeltaSnapshot& s, const KnowledgeGraph& base,
 }
 
 /// Materializes the merged adjacency list for `u` (copying the base list on
-/// first touch) and returns it.
+/// first touch), records `u` as touched by the batch, and returns the list.
 std::vector<AdjEntry>& EnsureAdjacency(DeltaSnapshot& s,
-                                       const KnowledgeGraph& base, NodeId u) {
-  auto it = s.adjacency.find(u);
-  if (it != s.adjacency.end()) return it->second;
-  std::vector<AdjEntry> list;
+                                       const KnowledgeGraph& base, NodeId u,
+                                       std::vector<NodeId>* touched) {
+  touched->push_back(u);
+  auto it = s.nodes.find(u);
+  if (it != s.nodes.end()) return it->second.adjacency;
+  DeltaSnapshot::Node node;
   if (u < s.base_nodes) {
     std::span<const AdjEntry> from_base = base.Neighbors(u);
-    list.assign(from_base.begin(), from_base.end());
+    node.adjacency.assign(from_base.begin(), from_base.end());
   }
-  return s.adjacency.emplace(u, std::move(list)).first->second;
+  return s.nodes.emplace(u, std::move(node)).first->second.adjacency;
+}
+
+/// Re-derives the distinct-predicate lists of the touched nodes from their
+/// merged adjacency, appending them to the pool, and packs the pool once
+/// stale ranges outnumber live entries (amortized O(1) per entry).
+void RefreshDistinctPredicates(DeltaSnapshot& s, std::vector<NodeId> touched) {
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::vector<bool> seen(s.base_predicates + s.predicate_names.size(), false);
+  std::vector<PredicateId>& pool = s.predicate_pool;
+  for (NodeId u : touched) {
+    DeltaSnapshot::Node& node = s.nodes.at(u);
+    s.live_predicates -= node.pred_end - node.pred_begin;
+    node.pred_begin = static_cast<uint32_t>(pool.size());
+    AppendDistinctPredicates(node.adjacency, &seen, &pool);
+    KG_CHECK(pool.size() <= UINT32_MAX);
+    node.pred_end = static_cast<uint32_t>(pool.size());
+    s.live_predicates += node.pred_end - node.pred_begin;
+  }
+  if (pool.size() <= 2 * s.live_predicates) return;
+  std::vector<PredicateId> packed;
+  packed.reserve(s.live_predicates);
+  for (auto& entry : s.nodes) {
+    DeltaSnapshot::Node& node = entry.second;
+    const uint32_t begin = static_cast<uint32_t>(packed.size());
+    packed.insert(packed.end(), pool.begin() + node.pred_begin,
+                  pool.begin() + node.pred_end);
+    node.pred_begin = begin;
+    node.pred_end = static_cast<uint32_t>(packed.size());
+  }
+  pool = std::move(packed);
 }
 
 /// Materializes the directed-edge predicate override list for (head, tail).
@@ -117,14 +150,16 @@ bool IsBaseTriple(const DeltaSnapshot& s, const KnowledgeGraph& base,
 }
 
 Status ApplyAdd(DeltaSnapshot& s, const KnowledgeGraph& base,
-                const Mutation& op) {
+                const Mutation& op, std::vector<NodeId>* touched) {
   NodeId h = EnsureNode(s, base, op.head, op.head_type);
   NodeId t = EnsureNode(s, base, op.tail, op.tail_type);
   PredicateId p = EnsurePredicate(s, base, op.predicate);
   if (s.HasTriple(h, p, t, base)) return Status::OK();  // idempotent
 
-  InsertAdjSorted(EnsureAdjacency(s, base, h), AdjEntry{t, p, true});
-  InsertAdjSorted(EnsureAdjacency(s, base, t), AdjEntry{h, p, false});
+  InsertAdjSorted(EnsureAdjacency(s, base, h, touched),
+                  AdjEntry{t, p, true});
+  InsertAdjSorted(EnsureAdjacency(s, base, t, touched),
+                  AdjEntry{h, p, false});
   EnsureEdgeList(s, base, h, t).push_back(p);
 
   const Triple triple{h, p, t};
@@ -141,7 +176,7 @@ Status ApplyAdd(DeltaSnapshot& s, const KnowledgeGraph& base,
 }
 
 Status ApplyRetract(DeltaSnapshot& s, const KnowledgeGraph& base,
-                    const Mutation& op) {
+                    const Mutation& op, std::vector<NodeId>* touched) {
   auto missing = [&op](const char* what) {
     return Status::NotFound("retract (" + op.head + ", " + op.predicate +
                             ", " + op.tail + "): " + what);
@@ -154,8 +189,10 @@ Status ApplyRetract(DeltaSnapshot& s, const KnowledgeGraph& base,
   if (p == kInvalidSymbol) return missing("unknown predicate");
   if (!s.HasTriple(h, p, t, base)) return missing("triple does not exist");
 
-  EraseAdjSorted(EnsureAdjacency(s, base, h), AdjEntry{t, p, true});
-  EraseAdjSorted(EnsureAdjacency(s, base, t), AdjEntry{h, p, false});
+  EraseAdjSorted(EnsureAdjacency(s, base, h, touched),
+                 AdjEntry{t, p, true});
+  EraseAdjSorted(EnsureAdjacency(s, base, t, touched),
+                 AdjEntry{h, p, false});
   std::vector<PredicateId>& preds = EnsureEdgeList(s, base, h, t);
   auto pit = std::find(preds.begin(), preds.end(), p);
   KG_CHECK(pit != preds.end());
@@ -202,12 +239,14 @@ Result<uint64_t> DeltaOverlay::Commit(const MutationBatch& batch) {
     next->num_edges = base_->NumEdges();
   }
 
+  std::vector<NodeId> touched;
   for (const Mutation& op : batch.ops) {
     Status status = op.kind == Mutation::Kind::kAddTriple
-                        ? ApplyAdd(*next, *base_, op)
-                        : ApplyRetract(*next, *base_, op);
+                        ? ApplyAdd(*next, *base_, op, &touched)
+                        : ApplyRetract(*next, *base_, op, &touched);
     if (!status.ok()) return status;  // whole batch rejected, nothing seen
   }
+  RefreshDistinctPredicates(*next, std::move(touched));
 
   next->epoch = (published_ ? published_->epoch : 0) + 1;
   published_ = std::move(next);

@@ -12,6 +12,19 @@ uint64_t PackPair(NodeId a, NodeId b) {
 }
 }  // namespace
 
+void AppendDistinctPredicates(std::span<const AdjEntry> adjacency,
+                              std::vector<bool>* seen,
+                              std::vector<PredicateId>* out) {
+  const size_t begin = out->size();
+  for (const AdjEntry& e : adjacency) {
+    if ((*seen)[e.predicate]) continue;
+    (*seen)[e.predicate] = true;
+    out->push_back(e.predicate);
+  }
+  for (size_t i = begin; i < out->size(); ++i) (*seen)[(*out)[i]] = false;
+  std::sort(out->begin() + static_cast<int64_t>(begin), out->end());
+}
+
 NodeId KnowledgeGraph::AddNode(std::string_view name, std::string_view type) {
   KG_CHECK(!finalized_);
   SymbolId existing = names_.Lookup(name);
@@ -88,7 +101,23 @@ void KnowledgeGraph::Finalize() {
     type_members_[tcursor[node_types_[u]]++] = u;
   }
 
+  BuildDistinctPredicates();
   finalized_ = true;
+}
+
+void KnowledgeGraph::BuildDistinctPredicates() {
+  const size_t n = node_types_.size();
+  std::vector<bool> seen(predicates_.size(), false);
+  distinct_offsets_.assign(n + 1, 0);
+  distinct_preds_.clear();
+  for (size_t u = 0; u < n; ++u) {
+    AppendDistinctPredicates(
+        std::span<const AdjEntry>(adj_.data() + adj_offsets_[u],
+                                  adj_offsets_[u + 1] - adj_offsets_[u]),
+        &seen, &distinct_preds_);
+    distinct_offsets_[u + 1] = distinct_preds_.size();
+  }
+  distinct_preds_.shrink_to_fit();
 }
 
 Result<std::unique_ptr<KnowledgeGraph>> KnowledgeGraph::FromFlatParts(
@@ -203,6 +232,7 @@ Result<std::unique_ptr<KnowledgeGraph>> KnowledgeGraph::FromFlatParts(
   graph->type_offsets_ = std::move(parts.type_offsets);
   graph->type_members_ = std::move(parts.type_members);
   graph->edge_index_ = std::move(edge_index);
+  graph->BuildDistinctPredicates();
   graph->finalized_ = true;
   return graph;
 }

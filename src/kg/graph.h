@@ -4,7 +4,9 @@
 // After Finalize(), an undirected CSR adjacency index supports the path
 // searches of Section V (paths ignore edge directionality, paper footnote 1),
 // while the stored direction is preserved for exact-match baselines and for
-// TransE training, which needs (head, relation, tail) orientation.
+// TransE training, which needs (head, relation, tail) orientation. A second
+// CSR lists each node's distinct incident predicates, so the A* heuristic
+// m(u) (Lemma 1) scans |distinct predicates| entries instead of the degree.
 #ifndef KGSEARCH_KG_GRAPH_H_
 #define KGSEARCH_KG_GRAPH_H_
 
@@ -55,6 +57,14 @@ inline bool AdjEntryLess(const AdjEntry& a, const AdjEntry& b) {
   if (a.predicate != b.predicate) return a.predicate < b.predicate;
   return a.forward < b.forward;
 }
+
+/// Appends the distinct predicates of `adjacency`, ascending, to `out`.
+/// `seen` is per-predicate scratch covering every predicate id in the list;
+/// it must be all false on entry and is all false again on return. The cost
+/// is one pass over the list plus a sort of the distinct predicates only.
+void AppendDistinctPredicates(std::span<const AdjEntry> adjacency,
+                              std::vector<bool>* seen,
+                              std::vector<PredicateId>* out);
 
 /// Immutable-after-finalize knowledge graph with CSR adjacency and
 /// type/name indexes.
@@ -131,6 +141,15 @@ class KnowledgeGraph {
     KG_CHECK(finalized_ && u < node_types_.size());
     return std::span<const AdjEntry>(adj_.data() + adj_offsets_[u],
                                      adj_offsets_[u + 1] - adj_offsets_[u]);
+  }
+
+  /// Distinct predicates of u's undirected adjacency, ascending. Requires
+  /// Finalize().
+  std::span<const PredicateId> DistinctPredicates(NodeId u) const {
+    KG_CHECK(finalized_ && u < node_types_.size());
+    return std::span<const PredicateId>(
+        distinct_preds_.data() + distinct_offsets_[u],
+        distinct_offsets_[u + 1] - distinct_offsets_[u]);
   }
 
   /// Undirected degree of u. Requires Finalize().
@@ -210,14 +229,18 @@ class KnowledgeGraph {
   };
 
   /// Restores a finalized graph by installing prebuilt CSR/index vectors —
-  /// no re-sorting, no re-parsing; only the directed-edge hash index is
-  /// rebuilt (O(|E|)). Every structural invariant Finalize() would have
-  /// established is re-checked; violations are ParseErrors, never aborts,
-  /// so corrupt snapshots cannot produce a graph that later trips KG_CHECK.
+  /// no re-sorting, no re-parsing; only the directed-edge hash index and the
+  /// distinct-predicate index are rebuilt (O(|E|)). Every structural
+  /// invariant Finalize() would have established is re-checked; violations
+  /// are ParseErrors, never aborts, so corrupt snapshots cannot produce a
+  /// graph that later trips KG_CHECK.
   static Result<std::unique_ptr<KnowledgeGraph>> FromFlatParts(
       FlatParts parts);
 
  private:
+  /// Builds distinct_offsets_/distinct_preds_ from the adjacency CSR.
+  void BuildDistinctPredicates();
+
   Dictionary names_;       // node id == name symbol id
   Dictionary types_;
   Dictionary predicates_;
@@ -227,6 +250,10 @@ class KnowledgeGraph {
   bool finalized_ = false;
   std::vector<uint64_t> adj_offsets_;  // size NumNodes()+1
   std::vector<AdjEntry> adj_;
+  // Derived from adj_ (never serialized): node u's distinct predicates are
+  // distinct_preds_[distinct_offsets_[u] .. distinct_offsets_[u + 1]).
+  std::vector<uint64_t> distinct_offsets_;  // size NumNodes()+1
+  std::vector<PredicateId> distinct_preds_;
   std::vector<uint64_t> type_offsets_;  // size NumTypes()+1
   std::vector<NodeId> type_members_;
   // Directed triple existence check: key packs (head, tail), value lists

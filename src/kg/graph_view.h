@@ -15,7 +15,9 @@
 //  - Per-node adjacency in the snapshot is FULLY MERGED (base entries minus
 //    retractions plus additions, in canonical AdjEntryLess order), so
 //    Neighbors() still returns a contiguous std::span with zero per-read
-//    merge cost — the merge price is paid once, at commit time.
+//    merge cost — the merge price is paid once, at commit time. The same
+//    holds for each touched node's distinct-predicate list, recomputed at
+//    commit from the merged adjacency.
 //  - GraphView is a two-pointer value type; it is cheap to copy and carries
 //    no ownership. Whoever builds one must keep the base graph and the
 //    pinned snapshot (shared_ptr) alive for the view's lifetime.
@@ -79,10 +81,24 @@ struct DeltaSnapshot {
   graph_view_internal::StringMap<PredicateId> predicate_index;
 
   // ----- merged structure for every node the delta touches -----
-  /// Fully merged adjacency (canonical AdjEntryLess order) for each node
-  /// whose neighborhood differs from the base. New nodes always have an
-  /// entry (possibly empty after retractions).
-  std::unordered_map<NodeId, std::vector<AdjEntry>> adjacency;
+  struct Node {
+    /// Fully merged adjacency, canonical AdjEntryLess order.
+    std::vector<AdjEntry> adjacency;
+    /// Distinct predicates of `adjacency`, ascending:
+    /// predicate_pool[pred_begin, pred_end). A retraction of the node's
+    /// last edge of a predicate drops that predicate.
+    uint32_t pred_begin = 0;
+    uint32_t pred_end = 0;
+  };
+  /// One entry per node whose neighborhood differs from the base. New nodes
+  /// always have an entry (possibly empty after retractions).
+  std::unordered_map<NodeId, Node> nodes;
+  /// Backing store of every node's distinct-predicate list: one vector, so
+  /// a commit's clone copies it in one block instead of one list per node.
+  /// Commits append the lists of the nodes they touch; the stale ranges
+  /// are packed away once they outnumber the live ones (`live_predicates`).
+  std::vector<PredicateId> predicate_pool;
+  size_t live_predicates = 0;
   /// Nodes the delta added to each type, ascending (delta node ids only —
   /// base type membership never changes, so concatenating the base span
   /// with this list keeps the whole membership sorted).
@@ -251,11 +267,25 @@ class GraphView {
   /// are pre-merged at commit time).
   std::span<const AdjEntry> Neighbors(NodeId u) const {
     if (delta_) {
-      auto it = delta_->adjacency.find(u);
-      if (it != delta_->adjacency.end()) return it->second;
+      auto it = delta_->nodes.find(u);
+      if (it != delta_->nodes.end()) return it->second.adjacency;
       if (u >= delta_->base_nodes) return {};
     }
     return base_->Neighbors(u);
+  }
+
+  /// Distinct predicates of Neighbors(u), ascending; resolved the same way.
+  std::span<const PredicateId> DistinctPredicates(NodeId u) const {
+    if (delta_) {
+      auto it = delta_->nodes.find(u);
+      if (it != delta_->nodes.end()) {
+        return std::span<const PredicateId>(delta_->predicate_pool)
+            .subspan(it->second.pred_begin,
+                     it->second.pred_end - it->second.pred_begin);
+      }
+      if (u >= delta_->base_nodes) return {};
+    }
+    return base_->DistinctPredicates(u);
   }
 
   size_t Degree(NodeId u) const { return Neighbors(u).size(); }

@@ -277,6 +277,34 @@ TEST(KgSessionQueryTest, QueryJsonWireRoundTrip) {
             "NotFound");
 }
 
+TEST(KgSessionQueryTest, QueryJsonRejectsHopBudgetBeyondSearchStateRange) {
+  // n_hat and dedup are wire-settable; exact-state search packs the hops of
+  // a stage into 8 bits, so n_hat = 256 must be refused, not silently merge
+  // distinct states.
+  KgSession session;
+  ASSERT_TRUE(RegisterCars(&session).ok());
+  for (QueryMode mode : {QueryMode::kSgq, QueryMode::kTbq}) {
+    QueryRequest request = CarRequest("?Car product GER");
+    request.mode = mode;
+    request.options.dedup = DedupMode::kExactState;
+    request.options.n_hat = 256;
+    const std::string rejected =
+        session.QueryJson(EncodeQueryRequestJson(request));
+    auto parsed = JsonValue::Parse(rejected);
+    ASSERT_TRUE(parsed.ok()) << rejected;
+    ASSERT_NE(parsed.ValueOrDie().Find("error"), nullptr) << rejected;
+    EXPECT_EQ(parsed.ValueOrDie().Find("error")->Find("code")->string_value(),
+              "InvalidArgument");
+
+    request.options.n_hat = 255;
+    const std::string accepted =
+        session.QueryJson(EncodeQueryRequestJson(request));
+    auto response = DecodeQueryResponseJson(accepted);
+    ASSERT_TRUE(response.ok()) << accepted;
+    EXPECT_FALSE(response.ValueOrDie().answers.empty());
+  }
+}
+
 /// Parks every worker of the session's shared pool until Release() is
 /// called; the constructor returns once all workers are parked, so
 /// subsequent submissions verifiably stay queued.

@@ -65,6 +65,58 @@ TEST(AStarSearchTest, InputValidation) {
   EXPECT_FALSE(AStarSearch(world.graph, *world.space, sub, bad).ok());
 }
 
+TEST(AStarSearchTest, RejectsStageAndHopCountsBeyondStateRange) {
+  // Exact-state keys pack the stage and the hops of a stage into 8 bits
+  // each; wider values would make distinct states collide.
+  CarWorld world;
+  ResolvedSubQuery sub =
+      MakeSingleEdgeSubQuery(world.graph, world.germany, "q", "Automobile");
+  for (DedupMode dedup :
+       {DedupMode::kExactState, DedupMode::kPaperNodeVisited}) {
+    AStarConfig config;
+    config.tau = 0.4;
+    config.dedup = dedup;
+    config.n_hat = 256;
+    auto too_many_hops = AStarSearch(world.graph, *world.space, sub, config);
+    EXPECT_EQ(too_many_hops.status().code(), StatusCode::kInvalidArgument);
+    config.n_hat = 255;
+    auto widest = AStarSearch(world.graph, *world.space, sub, config);
+    ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+    EXPECT_EQ(widest.ValueOrDie().size(), 3u);
+
+    config.n_hat = 1;
+    ResolvedSubQuery long_sub = sub;
+    long_sub.edge_predicates.assign(256, sub.edge_predicates[0]);
+    long_sub.node_constraints.assign(257, sub.node_constraints.back());
+    long_sub.node_constraints.front() = sub.node_constraints.front();
+    auto too_many_stages =
+        AStarSearch(world.graph, *world.space, long_sub, config);
+    EXPECT_EQ(too_many_stages.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(AStarSearchTest, MaterializedCountsDistinctNodeStagePairs) {
+  // Germany's m(u) is evaluated once at the start; every pushed non-goal
+  // child adds one (node, stage) pair. In the paper mode each node is
+  // pushed once, so the count is start + Regensburg + Peter_Schreyer.
+  CarWorld world;
+  ResolvedSubQuery sub =
+      MakeSingleEdgeSubQuery(world.graph, world.germany, "q", "Automobile");
+  AStarConfig config;
+  config.tau = 0.4;
+  SearchStats stats;
+  auto result = AStarSearch(world.graph, *world.space, sub, config, &stats);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(stats.materialized_nodes, 3u);
+  // The exact mode re-reaches nodes by other walks; each (node, stage) pair
+  // still counts once, so the count is bounded by the non-goal nodes.
+  config.dedup = DedupMode::kExactState;
+  auto exact = AStarSearch(world.graph, *world.space, sub, config, &stats);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(stats.materialized_nodes, 3u);
+  EXPECT_GT(stats.pushed, 3u);
+}
+
 TEST(AStarSearchTest, RanksByPathSemanticSimilarity) {
   CarWorld world;
   ResolvedSubQuery sub =
@@ -388,6 +440,155 @@ TEST_P(AStarRandomSweep, ExactModeMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AStarRandomSweep, ::testing::Range(0, 12));
+
+/// A small random world for the resumption sweep: multi-stage sub-queries
+/// over a graph dense enough that budgets bind.
+struct RandomWorld {
+  KnowledgeGraph graph;
+  std::unique_ptr<PredicateSpace> space;
+  ResolvedSubQuery sub;
+
+  explicit RandomWorld(uint64_t seed) {
+    Rng rng(seed);
+    const char* preds[] = {"p0", "p1", "p2", "p3", "p4", "p5"};
+    const double cosines[] = {0.97, 0.9, 0.82, 0.7, 0.55, 0.35};
+    NodeId anchor = graph.AddNode("anchor", "Anchor");
+    for (int i = 0; i < 60; ++i) {
+      const size_t kind = rng.UniformIndex(3);
+      graph.AddNode(StrFormat("n%d", i),
+                    kind == 0 ? "Target" : (kind == 1 ? "Mid" : "Other"));
+    }
+    const size_t total = graph.NumNodes();
+    for (int e = 0; e < 260; ++e) {
+      NodeId a = static_cast<NodeId>(rng.UniformIndex(total));
+      NodeId b = static_cast<NodeId>(rng.UniformIndex(total));
+      if (a == b) continue;
+      graph.AddEdge(a, preds[rng.UniformIndex(6)], b);
+    }
+    graph.InternPredicate("q");
+    graph.Finalize();
+    std::map<std::string, double> cos_map;
+    for (int i = 0; i < 6; ++i) cos_map[preds[i]] = cosines[i];
+    space = MakeSpaceWithCosines(graph, cos_map);
+
+    sub = MakeSingleEdgeSubQuery(graph, anchor, "q", "Target");
+    if (rng.Bernoulli(0.5)) {
+      // Two query edges through a Mid node.
+      NodeConstraint mid;
+      mid.types = {graph.FindType("Mid")};
+      sub.edge_predicates.push_back(graph.FindPredicate("p1"));
+      sub.node_constraints.insert(sub.node_constraints.begin() + 1, mid);
+    }
+  }
+};
+
+void ExpectSameMatches(const std::vector<PathMatch>& a,
+                       const std::vector<PathMatch>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].pss, b[i].pss) << "match " << i;
+    EXPECT_EQ(a[i].nodes, b[i].nodes) << "match " << i;
+    EXPECT_EQ(a[i].predicates, b[i].predicates) << "match " << i;
+    EXPECT_EQ(a[i].weights, b[i].weights) << "match " << i;
+    EXPECT_EQ(a[i].stage_ends, b[i].stage_ends) << "match " << i;
+  }
+}
+
+void ExpectSameStats(const SearchStats& a, const SearchStats& b) {
+  EXPECT_EQ(a.pushed, b.pushed);
+  EXPECT_EQ(a.popped, b.popped);
+  EXPECT_EQ(a.expanded, b.expanded);
+  EXPECT_EQ(a.pruned_tau, b.pruned_tau);
+  EXPECT_EQ(a.pruned_visited, b.pruned_visited);
+  EXPECT_EQ(a.goals_emitted, b.goals_emitted);
+  EXPECT_EQ(a.materialized_nodes, b.materialized_nodes);
+  EXPECT_EQ(a.stopped_early, b.stopped_early);
+  EXPECT_EQ(a.exhausted, b.exhausted);
+}
+
+/// Resumption property: a search continued from budget b to 2b (and 4b)
+/// returns exactly the matches and every counter of a fresh search at that
+/// budget, in both de-duplication modes, including when max_expansions
+/// stops either run.
+class AStarResumeSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AStarResumeSweep, ContinuedSearchEqualsFreshSearch) {
+  RandomWorld world(static_cast<uint64_t>(GetParam()) + 100);
+  size_t grew_after_resume = 0;  // continuations that emitted more matches
+  for (DedupMode dedup :
+       {DedupMode::kPaperNodeVisited, DedupMode::kExactState}) {
+    for (uint64_t max_expansions : {uint64_t{0}, uint64_t{40}}) {
+      for (size_t budget : {1, 2, 3, 5, 8}) {
+        SCOPED_TRACE(StrFormat("seed %d dedup %d cap %d budget %d",
+                               GetParam(), static_cast<int>(dedup),
+                               static_cast<int>(max_expansions),
+                               static_cast<int>(budget)));
+        AStarConfig config;
+        config.tau = 0.3;
+        config.n_hat = 3;
+        config.dedup = dedup;
+        config.max_expansions = max_expansions;
+        auto started =
+            AStarSearcher::Start(world.graph, *world.space, world.sub, config);
+        ASSERT_TRUE(started.ok());
+        AStarSearcher& search = started.ValueOrDie();
+        std::vector<PathMatch> resumed;
+        for (size_t k = budget; k <= 4 * budget; k *= 2) {
+          const size_t before = resumed.size();
+          ASSERT_TRUE(search.Continue(k, &resumed).ok());
+          if (k > budget && resumed.size() > before) ++grew_after_resume;
+          config.k = k;
+          SearchStats fresh_stats;
+          auto fresh = AStarSearch(world.graph, *world.space, world.sub,
+                                   config, &fresh_stats);
+          ASSERT_TRUE(fresh.ok());
+          ExpectSameMatches(resumed, fresh.ValueOrDie());
+          ExpectSameStats(search.stats(), fresh_stats);
+        }
+      }
+    }
+  }
+  EXPECT_GT(grew_after_resume, 0u) << "no budget bound in this world";
+}
+
+TEST_P(AStarResumeSweep, InterruptFiringMidContinuationAborts) {
+  RandomWorld world(static_cast<uint64_t>(GetParam()) + 100);
+  AStarConfig config;
+  config.tau = 0.3;
+  config.n_hat = 3;
+  config.dedup = DedupMode::kExactState;
+  config.stop_check_interval = 1;
+  // Fires on the pop after the first continuation's last one, i.e. inside
+  // the second call.
+  uint64_t polls = 0;
+  uint64_t fire_at = UINT64_MAX;
+  config.interrupt = [&]() {
+    return ++polls >= fire_at ? Status::Cancelled("fired") : Status::OK();
+  };
+  auto started =
+      AStarSearcher::Start(world.graph, *world.space, world.sub, config);
+  ASSERT_TRUE(started.ok());
+  AStarSearcher& search = started.ValueOrDie();
+  std::vector<PathMatch> matches;
+  ASSERT_TRUE(search.Continue(2, &matches).ok());
+  if (search.stats().exhausted) GTEST_SKIP() << "first call drained the queue";
+  const uint64_t popped_before = search.stats().popped;
+  fire_at = polls + 1;
+  Status status = search.Continue(1000, &matches);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(search.stats().popped, popped_before + 1);
+
+  // A fresh search whose interrupt fires on the same pop aborts there too.
+  polls = 0;
+  config.k = 1000;
+  SearchStats fresh_stats;
+  auto fresh = AStarSearch(world.graph, *world.space, world.sub, config,
+                           &fresh_stats);
+  EXPECT_EQ(fresh.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(fresh_stats.popped, popped_before + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AStarResumeSweep, ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace kgsearch

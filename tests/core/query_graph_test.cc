@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "util/string_util.h"
+
 namespace kgsearch {
 namespace {
 
@@ -123,8 +125,8 @@ TEST(DecomposeTest, StarPivotIsCenter) {
   QueryGraph q;
   int center = q.AddTargetNode("Automobile");
   for (int i = 0; i < 3; ++i) {
-    int anchor = q.AddSpecificNode("Country", "C" + std::to_string(i));
-    q.AddEdge(center, anchor, "p" + std::to_string(i));
+    int anchor = q.AddSpecificNode("Country", StrFormat("C%d", i));
+    q.AddEdge(center, anchor, StrFormat("p%d", i));
   }
   auto result = DecomposeQuery(q, DecomposeOptions{});
   ASSERT_TRUE(result.ok());

@@ -8,6 +8,7 @@
 #include "embedding/transh.h"
 #include "kg/graph.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgsearch {
 namespace {
@@ -81,7 +82,7 @@ KnowledgeGraph MakeTrainingGraph() {
   KnowledgeGraph g;
   std::vector<NodeId> nodes;
   for (int i = 0; i < 12; ++i) {
-    nodes.push_back(g.AddNode("n" + std::to_string(i), "T"));
+    nodes.push_back(g.AddNode(StrFormat("n%d", i), "T"));
   }
   for (int i = 0; i < 12; ++i) {
     g.AddEdge(nodes[static_cast<size_t>(i)],

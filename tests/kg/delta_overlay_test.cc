@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "kg/snapshot.h"
 #include "match/transformation_library.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgsearch {
 namespace {
@@ -261,7 +264,7 @@ TEST(FoldDeltaTest, RandomizedFoldAgreesWithViewReads) {
   std::vector<std::string> names = {"A", "B", "C"};
   for (int round = 0; round < 40; ++round) {
     MutationBatch batch;
-    const std::string fresh = "N" + std::to_string(round);
+    const std::string fresh = StrFormat("N%d", round);
     batch.ops.push_back(Mutation::Add(
         fresh, rng.Bernoulli(0.5) ? "knows" : "lives_in",
         names[rng.UniformIndex(names.size())], "Person"));
@@ -286,6 +289,123 @@ TEST(FoldDeltaTest, RandomizedFoldAgreesWithViewReads) {
     for (size_t i = 0; i < view_adj.size(); ++i) {
       EXPECT_EQ(view_adj[i], flat_adj[i]) << "node " << u << " entry " << i;
     }
+  }
+}
+
+// ----- distinct-predicate index -----
+
+/// Brute-force reference: the sorted distinct predicates of a list.
+std::vector<PredicateId> DistinctOf(std::span<const AdjEntry> adjacency) {
+  std::vector<PredicateId> out;
+  for (const AdjEntry& e : adjacency) out.push_back(e.predicate);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<PredicateId> ToVector(std::span<const PredicateId> span) {
+  return std::vector<PredicateId>(span.begin(), span.end());
+}
+
+/// Every node of `view` indexes exactly the distinct predicates of its
+/// merged adjacency.
+void ExpectIndexMatchesAdjacency(const GraphView& view) {
+  for (NodeId u = 0; u < view.NumNodes(); ++u) {
+    EXPECT_EQ(ToVector(view.DistinctPredicates(u)),
+              DistinctOf(view.Neighbors(u)))
+        << "node " << view.NodeName(u) << " at epoch " << view.epoch();
+  }
+}
+
+TEST(DistinctPredicateIndexTest, SameAcrossFinalizeKgpackCommitAndFold) {
+  auto base = std::make_unique<KnowledgeGraph>();
+  NodeId a = base->AddNode("A", "Person");
+  NodeId b = base->AddNode("B", "Person");
+  NodeId c = base->AddNode("C", "City");
+  base->AddEdge(a, "knows", b);
+  base->AddEdge(a, "likes", b);  // second predicate on the same pair
+  base->AddEdge(a, "lives_in", c);
+  base->AddEdge(b, "lives_in", c);
+  base->Finalize();
+  const PredicateId knows = base->FindPredicate("knows");
+  const PredicateId likes = base->FindPredicate("likes");
+  const PredicateId lives_in = base->FindPredicate("lives_in");
+
+  // Finalize(): the index equals the brute-force dedupe.
+  ExpectIndexMatchesAdjacency(GraphView(*base));
+  EXPECT_EQ(ToVector(base->DistinctPredicates(a)),
+            (std::vector<PredicateId>{knows, likes, lives_in}));
+  EXPECT_EQ(ToVector(base->DistinctPredicates(c)),
+            (std::vector<PredicateId>{lives_in}));
+
+  // kgpack round-trip rebuilds it through FromFlatParts.
+  std::unique_ptr<PredicateSpace> space = MakeSpace(*base);
+  TransformationLibrary library;
+  Result<std::string> bytes = EncodeSnapshot(*base, *space, library);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Result<DatasetSnapshot> decoded = DecodeSnapshot(bytes.ValueOrDie());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const KnowledgeGraph& restored = *decoded.ValueOrDie().graph;
+  for (NodeId u = 0; u < base->NumNodes(); ++u) {
+    EXPECT_EQ(ToVector(restored.DistinctPredicates(u)),
+              ToVector(base->DistinctPredicates(u)));
+  }
+
+  // Commit 1: a new predicate and a new node at C, and a new predicate
+  // between existing nodes at B and C.
+  DeltaOverlay overlay(base.get());
+  MutationBatch adds;
+  adds.ops.push_back(Mutation::Add("C", "works_at", "D", "", "Company"));
+  adds.ops.push_back(Mutation::Add("B", "knows", "C"));
+  ASSERT_TRUE(overlay.Commit(adds).ok());
+  std::shared_ptr<const DeltaSnapshot> after_adds = overlay.Snapshot();
+  const GraphView view1(base.get(), after_adds.get());
+  ExpectIndexMatchesAdjacency(view1);
+  const PredicateId works_at = view1.FindPredicate("works_at");
+  EXPECT_EQ(ToVector(view1.DistinctPredicates(c)),
+            (std::vector<PredicateId>{knows, lives_in, works_at}));
+  EXPECT_EQ(ToVector(view1.DistinctPredicates(view1.FindNode("D"))),
+            (std::vector<PredicateId>{works_at}));
+
+  // Commit 2: retracting A's only "likes" edge and only "lives_in" edge
+  // drops both predicates at A; B keeps "lives_in" but loses "likes".
+  MutationBatch retracts;
+  retracts.ops.push_back(Mutation::Retract("A", "likes", "B"));
+  retracts.ops.push_back(Mutation::Retract("A", "lives_in", "C"));
+  ASSERT_TRUE(overlay.Commit(retracts).ok());
+  std::shared_ptr<const DeltaSnapshot> after_retracts = overlay.Snapshot();
+  const GraphView view2(base.get(), after_retracts.get());
+  ExpectIndexMatchesAdjacency(view2);
+  EXPECT_EQ(ToVector(view2.DistinctPredicates(a)),
+            (std::vector<PredicateId>{knows}));
+  EXPECT_EQ(ToVector(view2.DistinctPredicates(b)),
+            (std::vector<PredicateId>{knows, lives_in}));
+  // The pinned earlier epoch still reads its own lists.
+  EXPECT_EQ(ToVector(view1.DistinctPredicates(a)),
+            (std::vector<PredicateId>{knows, likes, lives_in}));
+
+  // Many commits re-touching the same nodes leave stale pool ranges behind
+  // and force the pool to be packed; every epoch still reads right.
+  for (int i = 0; i < 12; ++i) {
+    MutationBatch churn;
+    churn.ops.push_back(Mutation::Add("A", i % 2 ? "likes" : "works_at", "C"));
+    churn.ops.push_back(Mutation::Add("D", "knows", StrFormat("E%d", i)));
+    ASSERT_TRUE(overlay.Commit(churn).ok());
+    std::shared_ptr<const DeltaSnapshot> pinned = overlay.Snapshot();
+    ExpectIndexMatchesAdjacency(GraphView(base.get(), pinned.get()));
+    EXPECT_LE(pinned->predicate_pool.size(), 2 * pinned->live_predicates);
+  }
+  ExpectIndexMatchesAdjacency(view2);
+
+  // FoldDelta: the folded graph's Finalize() index equals the view's.
+  Result<std::unique_ptr<KnowledgeGraph>> folded =
+      FoldDelta(*base, after_retracts.get());
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  ASSERT_EQ(folded.ValueOrDie()->NumNodes(), view2.NumNodes());
+  for (NodeId u = 0; u < view2.NumNodes(); ++u) {
+    EXPECT_EQ(ToVector(folded.ValueOrDie()->DistinctPredicates(u)),
+              ToVector(view2.DistinctPredicates(u)))
+        << "node " << view2.NodeName(u);
   }
 }
 

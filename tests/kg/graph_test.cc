@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/string_util.h"
+
 namespace kgsearch {
 namespace {
 
@@ -64,7 +66,7 @@ TEST(GraphTest, NeighborsSortedDeterministically) {
   KnowledgeGraph g;
   NodeId hub = g.AddNode("hub", "T");
   for (int i = 9; i >= 0; --i) {
-    NodeId n = g.AddNode("n" + std::to_string(i), "T");
+    NodeId n = g.AddNode(StrFormat("n%d", i), "T");
     g.AddEdge(hub, "p", n);
   }
   g.Finalize();
