@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "baselines/adapters.h"
-#include "core/time_bounded.h"
 #include "eval/harness.h"
 #include "eval/reporter.h"
 
@@ -40,19 +39,21 @@ int Run() {
   std::printf("SGQ average query time: %.2f ms (bounds sweep 20%%-180%%)\n",
               sgq_avg_ms);
 
-  TimeBoundedOptions toptions;
-  toptions.per_match_assembly_micros =
-      TbqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
+  EngineOptions toptions;
+  toptions.time_bound = TimeBound{};
+  toptions.time_bound->per_match_assembly_micros =
+      SgqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
   toptions.stop_check_interval = 16;  // sub-ms bounds need fine checks
+  SgqMethod tbq(context, toptions, "TBQ");
 
   Table table({"Bound(ms)", "Precision", "Recall", "F1", "Min(ms)",
                "Avg(ms)", "Max(ms)"});
   for (double frac : {0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 1.8}) {
     const double bound_ms = std::max(0.05, sgq_avg_ms * frac);
+    tbq.mutable_options()->time_bound->micros =
+        static_cast<int64_t>(bound_ms * 1000.0);
     std::vector<double> ps, rs, f1s, times;
     for (const QueryWithGold& q : workload) {
-      TbqMethod tbq("TBQ", context, toptions);
-      tbq.set_time_bound_micros(static_cast<int64_t>(bound_ms * 1000.0));
       StopWatch watch;
       auto answers = tbq.QueryTopK(q.query, q.answer_node, q.gold.size());
       times.push_back(watch.ElapsedMillis());

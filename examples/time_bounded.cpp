@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/time_bounded.h"
+#include "core/engine.h"
 #include "eval/metrics.h"
 #include "gen/workload.h"
 
@@ -30,12 +30,12 @@ int main() {
   std::printf("query: %s, |gold| = %zu\n", q.description.c_str(),
               q.gold.size());
 
-  TbqEngine engine(ds.graph.get(), ds.space.get(), &ds.library);
+  SgqEngine engine(ds.graph.get(), ds.space.get(), &ds.library);
 
   // Reference answers with a generous bound (M, the optimal answer set).
-  TimeBoundedOptions options;
+  EngineOptions options;
   options.k = q.gold.size();
-  options.time_bound_micros = 2'000'000;
+  options.time_bound = TimeBound{.micros = 2'000'000};
   auto reference = engine.Query(q.query, options);
   if (!reference.ok()) {
     std::fprintf(stderr, "%s\n", reference.status().ToString().c_str());
@@ -46,10 +46,10 @@ int main() {
   std::printf("\n%10s %10s %10s %10s %8s\n", "bound(us)", "answers",
               "Jaccard", "recall", "time(ms)");
   for (int64_t bound : {200, 500, 1000, 2000, 5000, 20000, 2000000}) {
-    options.time_bound_micros = bound;
+    options.time_bound->micros = bound;
     auto result = engine.Query(q.query, options);
     if (!result.ok()) continue;
-    const TimeBoundedResult& r = result.ValueOrDie();
+    const QueryResult& r = result.ValueOrDie();
     std::vector<NodeId> answers = r.AnswerIds();
     Prf prf = ComputePrf(answers, q.gold);
     std::printf("%10lld %10zu %10.3f %10.3f %8.2f%s\n",

@@ -168,7 +168,8 @@ Status CheckProtocolVersion(int64_t version) {
   return Status::OK();
 }
 
-EngineOptions ToEngineOptions(const RequestOptions& options) {
+EngineOptions ToEngineOptions(const RequestOptions& options,
+                              QueryMode mode) {
   EngineOptions o;
   o.k = options.k;
   o.tau = options.tau;
@@ -181,23 +182,11 @@ EngineOptions ToEngineOptions(const RequestOptions& options) {
   o.dedup = options.dedup;
   o.matches_per_target = options.matches_per_target;
   o.stop_check_interval = options.stop_check_interval;
-  return o;
-}
-
-TimeBoundedOptions ToTimeBoundedOptions(const RequestOptions& options) {
-  TimeBoundedOptions o;
-  o.k = options.k;
-  o.tau = options.tau;
-  o.n_hat = options.n_hat;
-  o.pivot_strategy = options.pivot_strategy;
-  o.seed = options.seed;
-  o.time_bound_micros = options.time_bound_micros;
-  o.alert_ratio = options.alert_ratio;
-  o.per_match_assembly_micros = options.per_match_assembly_micros;
-  o.match_cap = options.match_cap;
-  o.stop_check_interval = options.stop_check_interval;
-  o.max_expansions = options.max_expansions;
-  o.dedup = options.dedup;
+  if (mode == QueryMode::kTbq) {
+    o.time_bound = TimeBound{options.time_bound_micros, options.alert_ratio,
+                             options.per_match_assembly_micros,
+                             options.match_cap};
+  }
   return o;
 }
 

@@ -5,12 +5,12 @@
 //  - The DTOs are plain value types with defaulted equality, so
 //    decode(encode(x)) == x is testable exactly (doubles are written with
 //    shortest-round-trip precision by util/json).
-//  - RequestOptions flattens the per-query knobs of EngineOptions and
-//    TimeBoundedOptions into one struct whose defaults match the engine
-//    defaults bit-for-bit; ToEngineOptions/ToTimeBoundedOptions are the only
-//    mapping, so a default-constructed request behaves exactly like a direct
-//    engine call. Serving-layer knobs (threads, executor) are deliberately
-//    not part of the wire protocol.
+//  - RequestOptions flattens the per-query knobs of EngineOptions, its
+//    TimeBound included, into one struct whose defaults match the engine
+//    defaults bit-for-bit; ToEngineOptions is the only mapping, so a
+//    default-constructed request behaves exactly like a direct engine call.
+//    Serving-layer knobs (threads, executor) are deliberately not part of
+//    the wire protocol.
 //  - Decoders are total: any malformed document returns
 //    kParseError/kInvalidArgument, never an abort.
 #ifndef KGSEARCH_API_PROTOCOL_H_
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "service/admission.h"
 #include "util/json.h"
 
@@ -39,7 +38,7 @@ inline constexpr int64_t kApiProtocolVersion = 1;
 /// with a large explicit QueryGraph is a few KiB.
 inline constexpr size_t kMaxWireRequestBytes = size_t{1} << 20;
 
-/// Which engine answers the request.
+/// Which problem the request poses; kTbq adds a time bound to the query.
 enum class QueryMode {
   kSgq,  ///< optimal semantic-guided query (Problem 1)
   kTbq,  ///< time-bounded approximate query (Problem 2)
@@ -67,7 +66,7 @@ struct RequestOptions {
   size_t budget_factor = 3;
   size_t max_retry_rounds = 2;
   size_t matches_per_target = 1;
-  // TBQ only.
+  // TBQ only: the fields of EngineOptions::time_bound (TimeBound).
   int64_t time_bound_micros = 100'000;
   double alert_ratio = 0.8;
   double per_match_assembly_micros = -1.0;
@@ -79,10 +78,12 @@ struct RequestOptions {
   bool operator==(const RequestOptions&) const = default;
 };
 
-/// The engine options equivalent to `options` (executor/threads left at
-/// their defaults; the serving layer injects its own executor).
-EngineOptions ToEngineOptions(const RequestOptions& options);
-TimeBoundedOptions ToTimeBoundedOptions(const RequestOptions& options);
+/// The engine options equivalent to `options` in `mode`: kTbq sets
+/// EngineOptions::time_bound from the TBQ fields, kSgq leaves it unset.
+/// Executor/threads stay at their defaults; the serving layer injects its
+/// own executor.
+EngineOptions ToEngineOptions(const RequestOptions& options,
+                              QueryMode mode = QueryMode::kSgq);
 
 /// One query request against a named dataset. The query is given either as
 /// text (api/query_text grammar) or as an explicit QueryGraph; when both

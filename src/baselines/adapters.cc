@@ -2,8 +2,10 @@
 
 namespace kgsearch {
 
-SgqMethod::SgqMethod(MethodContext context, EngineOptions options)
-    : engine_(context.graph, context.space, context.library),
+SgqMethod::SgqMethod(MethodContext context, EngineOptions options,
+                     std::string label)
+    : label_(std::move(label)),
+      engine_(context.graph, context.space, context.library),
       options_(options) {}
 
 Result<std::vector<NodeId>> SgqMethod::QueryTopK(const QueryGraph& query,
@@ -14,23 +16,6 @@ Result<std::vector<NodeId>> SgqMethod::QueryTopK(const QueryGraph& query,
   Result<QueryResult> r = engine_.Query(query, options);
   if (!r.ok()) return r.status();
   const QueryResult& result = r.ValueOrDie();
-  return ExtractAnswers(result.matches, result.decomposition, answer_node);
-}
-
-TbqMethod::TbqMethod(std::string label, MethodContext context,
-                     TimeBoundedOptions options)
-    : label_(std::move(label)),
-      engine_(context.graph, context.space, context.library),
-      options_(options) {}
-
-Result<std::vector<NodeId>> TbqMethod::QueryTopK(const QueryGraph& query,
-                                                 int answer_node,
-                                                 size_t k) const {
-  TimeBoundedOptions options = options_;
-  options.k = k;
-  Result<TimeBoundedResult> r = engine_.Query(query, options);
-  if (!r.ok()) return r.status();
-  const TimeBoundedResult& result = r.ValueOrDie();
   return ExtractAnswers(result.matches, result.decomposition, answer_node);
 }
 

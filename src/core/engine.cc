@@ -4,6 +4,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "core/time_bounded.h"
 #include "util/thread_pool.h"
 
 namespace kgsearch {
@@ -73,18 +74,42 @@ Result<QueryResult> SgqEngine::Query(const QueryGraph& query,
   return QueryDecomposed(query, decomposition.ValueOrDie(), options);
 }
 
+double SgqEngine::AssemblyCostMicros(const TimeBound& bound) const {
+  if (bound.per_match_assembly_micros > 0.0) {
+    return bound.per_match_assembly_micros;
+  }
+  std::call_once(calibrate_once_, [this] {
+    calibrated_micros_ = CalibrateAssemblyCostMicros(clock_);
+  });
+  return calibrated_micros_;
+}
+
 Result<QueryResult> SgqEngine::QueryDecomposed(
     const QueryGraph& query, const Decomposition& decomposition,
     const EngineOptions& options) const {
   if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
+  const std::optional<TimeBound>& bound = options.time_bound;
+  if (bound) {
+    if (bound->micros <= 0) {
+      return Status::InvalidArgument("time bound must be positive");
+    }
+    // Written to also reject NaN; above 1 the alert is never reached and
+    // the "bounded" query would ignore T.
+    if (!(bound->alert_ratio > 0.0 && bound->alert_ratio <= 1.0)) {
+      return Status::InvalidArgument("alert_ratio must be in (0, 1]");
+    }
+  }
   // One interruption policy for the whole query: checked here (fail fast
   // when the request arrives already expired or revoked), polled inside
-  // every sub-query search, and re-checked between retry rounds.
+  // every sub-query search, and re-checked between retry rounds. It is a
+  // hard wall, distinct from the soft time bound.
   auto interrupt = [cancel = options.cancel,
                     deadline = options.deadline_micros, clock = clock_]() {
     return CheckInterrupt(cancel, deadline, clock);
   };
   KG_RETURN_NOT_OK(interrupt());
+  // The query's clock; with a time bound it is also Algorithm 3's elapsed
+  // time, so T covers the whole call.
   StopWatch watch(clock_);
 
   QueryResult result;
@@ -109,6 +134,28 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
     resolved.push_back(std::move(r).ValueOrDie());
   }
 
+  AStarConfig config;
+  config.tau = options.tau;
+  config.n_hat = options.n_hat;
+  config.max_expansions = options.max_expansions;
+  config.dedup = options.dedup;
+  config.max_matches_per_target = options.matches_per_target;
+  config.stop_check_interval = options.stop_check_interval;
+  if (options.cancel != nullptr || options.deadline_micros > 0) {
+    config.interrupt = interrupt;
+  }
+  // A bounded query's searches are anytime searches, stopped together by
+  // the estimator. No anytime match set reaches a SIZE_MAX budget, so the
+  // retry test below ends the query after round 0.
+  std::optional<TimeBoundEstimator> estimator;
+  size_t budget = std::max<size_t>(options.budget_factor * options.k, 16);
+  if (bound) {
+    estimator.emplace(*bound, AssemblyCostMicros(*bound), n, &watch);
+    config.anytime = true;
+    config.anytime_match_cap = bound->match_cap;
+    budget = SIZE_MAX;
+  }
+
   // One search per sub-query for the whole query: a retry round continues
   // each search to the doubled budget instead of restarting it, which emits
   // exactly the matches and stats a fresh search at that budget would (see
@@ -116,7 +163,6 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
   std::vector<std::optional<AStarSearcher>> searches(n);
   std::vector<std::vector<PathMatch>> match_sets(n);
   result.subquery_stats.assign(n, SearchStats{});
-  size_t budget = std::max<size_t>(options.budget_factor * options.k, 16);
 
   for (size_t round = 0; round <= options.max_retry_rounds; ++round) {
     // Every sub-query search advances in parallel.
@@ -126,18 +172,14 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
     for (size_t i = 0; i < n; ++i) {
       tasks.push_back([&, i] {
         if (!searches[i]) {
-          AStarConfig config;
-          config.tau = options.tau;
-          config.n_hat = options.n_hat;
-          config.max_expansions = options.max_expansions;
-          config.dedup = options.dedup;
-          config.max_matches_per_target = options.matches_per_target;
-          if (options.cancel != nullptr || options.deadline_micros > 0) {
-            config.interrupt = interrupt;
-            config.stop_check_interval = options.stop_check_interval;
+          AStarConfig search_config = config;
+          if (estimator) {
+            search_config.should_stop = [&estimator, i](size_t matches) {
+              return estimator->ShouldStop(i, matches);
+            };
           }
           Result<AStarSearcher> started =
-              AStarSearcher::Start(view, *space_, resolved[i], config);
+              AStarSearcher::Start(view, *space_, resolved[i], search_config);
           if (!started.ok()) {
             statuses[i] = started.status();
             return;
@@ -171,6 +213,9 @@ Result<QueryResult> SgqEngine::QueryDecomposed(
     budget *= 2;  // retry with a larger per-sub-query match budget
   }
 
+  for (const SearchStats& s : result.subquery_stats) {
+    if (s.stopped_early) result.stopped_by_time = true;
+  }
   result.elapsed_ms = watch.ElapsedMillis();
   return result;
 }

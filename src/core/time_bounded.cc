@@ -1,20 +1,38 @@
 #include "core/time_bounded.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace kgsearch {
 
-TbqEngine::TbqEngine(const KnowledgeGraph* graph, const PredicateSpace* space,
-                     const TransformationLibrary* library, const Clock* clock)
-    : graph_(graph), space_(space), matcher_(graph, library), clock_(clock) {
-  KG_CHECK(space != nullptr && clock != nullptr);
+TimeBoundEstimator::TimeBoundEstimator(const TimeBound& bound,
+                                       double per_match_micros,
+                                       size_t num_searches,
+                                       const StopWatch* watch)
+    : alert_micros_(static_cast<double>(bound.micros) * bound.alert_ratio),
+      per_match_micros_(per_match_micros),
+      watch_(watch),
+      match_counts_(num_searches) {}
+
+bool TimeBoundEstimator::ShouldStop(size_t search, size_t matches_so_far) {
+  match_counts_[search].store(matches_so_far, std::memory_order_relaxed);
+  if (stop_all_.load(std::memory_order_relaxed)) return true;
+  size_t total_matches = 0;
+  for (const auto& c : match_counts_) {
+    total_matches += c.load(std::memory_order_relaxed);
+  }
+  const double elapsed = static_cast<double>(watch_->ElapsedMicros());
+  const double estimate =
+      elapsed + static_cast<double>(total_matches) * per_match_micros_;
+  if (estimate >= alert_micros_) {
+    stop_all_.store(true, std::memory_order_relaxed);
+    return true;
+  }
+  return false;
 }
 
-double TbqEngine::CalibrateAssemblyCostMicros(const Clock* clock) {
+double SgqEngine::CalibrateAssemblyCostMicros(const Clock* clock) {
   // Simulated TA assembly over synthetic match sets, as Algorithm 3's
   // empirical estimate of t. 2 sets x 2048 matches with disjoint-ish pivots
   // force a full scan, which is the worst case the estimator must cover.
@@ -44,138 +62,6 @@ double TbqEngine::CalibrateAssemblyCostMicros(const Clock* clock) {
   if (stats.sorted_accesses == 0 || elapsed <= 0) return 1.0;  // manual clock
   return std::max(0.05, static_cast<double>(elapsed) /
                             static_cast<double>(stats.sorted_accesses));
-}
-
-Result<TimeBoundedResult> TbqEngine::Query(
-    const QueryGraph& query, const TimeBoundedOptions& options) const {
-  const GraphView view = options.view ? *options.view : GraphView(*graph_);
-  Result<Decomposition> decomposition = DecomposeQuery(
-      query, MakeDecomposeOptions(view, options.pivot_strategy,
-                                  options.n_hat, options.seed));
-  if (!decomposition.ok()) return decomposition.status();
-  return QueryDecomposed(query, decomposition.ValueOrDie(), options);
-}
-
-Result<TimeBoundedResult> TbqEngine::QueryDecomposed(
-    const QueryGraph& query, const Decomposition& decomposition,
-    const TimeBoundedOptions& options) const {
-  if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (options.time_bound_micros <= 0) {
-    return Status::InvalidArgument("time bound must be positive");
-  }
-  // Hard per-request wall (deadline / cancellation), distinct from the
-  // soft anytime budget below: checked up front and polled inside every
-  // search; firing aborts the query with a Status instead of assembling a
-  // partial answer.
-  auto interrupt = [cancel = options.cancel,
-                    deadline = options.deadline_micros, clock = clock_]() {
-    return CheckInterrupt(cancel, deadline, clock);
-  };
-  KG_RETURN_NOT_OK(interrupt());
-  StopWatch watch(clock_);
-
-  double t_micros = options.per_match_assembly_micros;
-  if (t_micros <= 0.0) t_micros = CalibrateAssemblyCostMicros(clock_);
-
-  TimeBoundedResult result;
-  result.decomposition = decomposition;
-  const size_t n = result.decomposition.subqueries.size();
-  KG_CHECK(n > 0);
-
-  // One consistent view for the whole query; see SgqEngine::QueryDecomposed.
-  const GraphView view = options.view ? *options.view : GraphView(*graph_);
-  NodeMatcher matcher(view, matcher_.library());
-  matcher.set_candidate_cache(matcher_.candidate_cache());
-
-  std::vector<ResolvedSubQuery> resolved;
-  resolved.reserve(n);
-  for (const SubQueryGraph& sub : result.decomposition.subqueries) {
-    Result<ResolvedSubQuery> r = ResolveSubQuery(query, sub, matcher);
-    if (!r.ok()) return r.status();
-    resolved.push_back(std::move(r).ValueOrDie());
-  }
-
-  // Shared state for the synchronized time estimation (Algorithm 3): each
-  // search publishes its |M̂i|; the estimator compares
-  //   elapsed + (Σ|M̂i|)·t   against   T·r%.
-  // All searches run concurrently, so the elapsed wall time stands in for
-  // max{T_A*}; with sequential execution (threads=1) it equals Σ T_A*,
-  // which is only more conservative.
-  const double alert_micros =
-      static_cast<double>(options.time_bound_micros) * options.alert_ratio;
-  std::vector<std::atomic<size_t>> match_counts(n);
-  for (auto& c : match_counts) c.store(0);
-  std::atomic<bool> stop_all{false};
-  const int64_t start_micros = clock_->NowMicros();
-
-  auto should_stop = [&](size_t self_index, size_t matches_so_far) {
-    match_counts[self_index].store(matches_so_far,
-                                   std::memory_order_relaxed);
-    if (stop_all.load(std::memory_order_relaxed)) return true;
-    size_t total_matches = 0;
-    for (const auto& c : match_counts) {
-      total_matches += c.load(std::memory_order_relaxed);
-    }
-    const double elapsed =
-        static_cast<double>(clock_->NowMicros() - start_micros);
-    const double estimate =
-        elapsed + static_cast<double>(total_matches) * t_micros;
-    if (estimate >= alert_micros) {
-      stop_all.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  result.subquery_stats.assign(n, SearchStats{});
-  std::vector<std::vector<PathMatch>> match_sets(n);
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    tasks.push_back([&, i] {
-      AStarConfig config;
-      config.k = SIZE_MAX;  // anytime mode ignores k; time governs
-      config.tau = options.tau;
-      config.n_hat = options.n_hat;
-      config.max_expansions = options.max_expansions;
-      config.dedup = options.dedup;
-      config.anytime = true;
-      config.anytime_match_cap = options.match_cap;
-      config.stop_check_interval = options.stop_check_interval;
-      if (options.cancel != nullptr || options.deadline_micros > 0) {
-        config.interrupt = interrupt;
-      }
-      config.should_stop = [&, i](size_t matches_so_far) {
-        return should_stop(i, matches_so_far);
-      };
-      Result<std::vector<PathMatch>> r = AStarSearch(
-          view, *space_, resolved[i], config, &result.subquery_stats[i]);
-      if (r.ok()) {
-        match_sets[i] = std::move(r).ValueOrDie();
-      } else {
-        statuses[i] = r.status();
-      }
-    });
-  }
-  if (options.executor != nullptr) {
-    RunOnPool(options.executor, std::move(tasks));
-  } else {
-    size_t threads = options.threads == 0 ? n : options.threads;
-    RunParallel(std::move(tasks), threads);
-  }
-  for (const Status& s : statuses) KG_RETURN_NOT_OK(s);
-
-  for (const SearchStats& s : result.subquery_stats) {
-    if (s.stopped_early) result.stopped_by_time = true;
-  }
-
-  Result<std::vector<FinalMatch>> assembled =
-      AssembleTopK(match_sets, options.k, &result.ta_stats);
-  if (!assembled.ok()) return assembled.status();
-  result.matches = std::move(assembled).ValueOrDie();
-  result.elapsed_ms = watch.ElapsedMillis();
-  return result;
 }
 
 }  // namespace kgsearch

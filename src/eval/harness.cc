@@ -7,7 +7,6 @@
 #include "baselines/exact_match.h"
 #include "baselines/s4.h"
 #include "baselines/structural.h"
-#include "core/time_bounded.h"
 #include "eval/reporter.h"
 #include "util/string_util.h"
 
@@ -141,15 +140,15 @@ MethodRun RunTbqRelativeToSgq(const GeneratedDataset& ds,
                               const Clock* clock) {
   MethodContext context{ds.graph.get(), ds.space.get(), &ds.library};
   SgqMethod sgq(context, sgq_options);
-
-  TimeBoundedOptions toptions;
-  toptions.tau = sgq_options.tau;
-  toptions.n_hat = sgq_options.n_hat;
-  toptions.per_match_assembly_micros =
-      TbqEngine::CalibrateAssemblyCostMicros(clock);
+  // TBQ is the same run plus a time bound; t is measured once, up front.
+  EngineOptions toptions = sgq_options;
+  toptions.time_bound = TimeBound{};
+  toptions.time_bound->per_match_assembly_micros =
+      SgqEngine::CalibrateAssemblyCostMicros(clock);
+  SgqMethod tbq(context, toptions, StrFormat("TBQ-%.1f", ratio));
 
   MethodRun run;
-  run.method = StrFormat("TBQ-%.1f", ratio);
+  run.method = tbq.name();
   std::vector<double> ps, rs, f1s, times;
   for (const QueryWithGold& q : workload) {
     const size_t effective_k = (k == 0) ? q.gold.size() : k;
@@ -161,9 +160,8 @@ MethodRun RunTbqRelativeToSgq(const GeneratedDataset& ds,
         static_cast<double>(sgq_watch.ElapsedMicros());
     (void)sgq_answers;
 
-    TbqMethod tbq(run.method, context, toptions);
-    tbq.set_time_bound_micros(
-        std::max<int64_t>(50, static_cast<int64_t>(sgq_micros * ratio)));
+    tbq.mutable_options()->time_bound->micros =
+        std::max<int64_t>(50, static_cast<int64_t>(sgq_micros * ratio));
     StopWatch watch(clock);
     Result<std::vector<NodeId>> answers =
         tbq.QueryTopK(q.query, q.answer_node, effective_k);

@@ -29,30 +29,28 @@ struct CachedCandidates {
   std::vector<NodeId> ids;
 };
 
-/// Shared memo of φ candidate lists. One cache can back every matcher over
-/// the same (base graph, library) pair across all epochs — the serving layer
-/// installs one instance into both the SGQ and TBQ engines, and per-request
-/// matchers pinned to a delta snapshot share it too.
+/// Shared memo of φ candidate lists of specific (named) query nodes. One
+/// cache can back every matcher over the same (base graph, library) pair
+/// across all epochs — the serving layer installs one instance into its
+/// engine, and per-request matchers pinned to a delta snapshot share it too.
 ///
 /// Keys are std::string (owned) but lookups are heterogeneous string_views,
-/// so the MatchByName/MatchByType hot path allocates no temporary string on
-/// a cache hit; only the Put after a miss materializes the key.
+/// so the MatchByName hot path allocates no temporary string on a cache
+/// hit; only the Put after a miss materializes the key.
 struct MatcherCandidateCache {
   using Cache =
       LruCache<std::string, CachedCandidates, StringViewHash, StringViewEq>;
 
-  explicit MatcherCandidateCache(size_t capacity)
-      : by_name(capacity), by_type(capacity) {}
+  explicit MatcherCandidateCache(size_t capacity) : by_name(capacity) {}
 
   Cache by_name;
-  Cache by_type;
   /// Lookups that found an entry from a different epoch (recomputed; the
   /// underlying LruCache counted them as hits, so true hits are
   /// hits() - stale_hits()).
   std::atomic<uint64_t> stale{0};
 
-  uint64_t hits() const { return by_name.hits() + by_type.hits(); }
-  uint64_t misses() const { return by_name.misses() + by_type.misses(); }
+  uint64_t hits() const { return by_name.hits(); }
+  uint64_t misses() const { return by_name.misses(); }
   uint64_t stale_hits() const {
     return stale.load(std::memory_order_relaxed);
   }
@@ -60,8 +58,9 @@ struct MatcherCandidateCache {
 
 /// Resolves query node labels to knowledge-graph node candidates.
 ///
-/// Specific nodes (name known) resolve by name; target nodes (type known)
-/// resolve by type. Both go through the transformation library's identical /
+/// Specific nodes (name known) resolve by name to node candidates; target
+/// nodes (type known) resolve to KG types, whose members match. Both go
+/// through the transformation library's identical /
 /// synonym / abbreviation records. The matcher reads through a GraphView,
 /// so one constructed over a pinned delta snapshot also matches nodes and
 /// types the overlay added.
@@ -114,27 +113,6 @@ class NodeMatcher {
     for (const Resolution& r : library_->ResolveType(query_type)) {
       TypeId t = view_.FindType(r.canonical);
       if (t != kInvalidSymbol) out.push_back(t);
-    }
-    return out;
-  }
-
-  /// φ for a target node: all KG nodes whose type resolves from `query_type`.
-  std::vector<NodeId> MatchByType(std::string_view query_type) const {
-    if (cache_) {
-      CachedCandidates entry;
-      if (cache_->by_type.Get(query_type, &entry)) {
-        if (entry.epoch == view_.epoch()) return std::move(entry.ids);
-        cache_->stale.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    std::vector<NodeId> out;
-    for (TypeId t : MatchTypes(query_type)) {
-      auto members = view_.NodesOfType(t);
-      out.insert(out.end(), members.begin(), members.end());
-    }
-    if (cache_) {
-      cache_->by_type.Put(std::string(query_type),
-                          CachedCandidates{view_.epoch(), out});
     }
     return out;
   }

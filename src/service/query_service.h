@@ -1,23 +1,28 @@
 // QueryService: concurrent serving of SGQ and TBQ queries over one shared
 // process-wide executor.
 //
-// The engines themselves are stateless per query (const Query methods over
-// immutable graph/space/library), so the serving layer's job is resource
-// multiplexing and memoization:
+// One engine answers both modes (a TBQ request is an SGQ request with
+// EngineOptions::time_bound set), and it is stateless per query (const
+// Query methods over immutable graph/space/library), so the serving
+// layer's job is resource multiplexing and memoization:
 //  - one ThreadPool shared by every in-flight query; sub-query A* searches
 //    run as caller-participating batches (RunOnPool), so a pool saturated
 //    with queries still makes progress on each query's own sub-queries;
 //  - an LRU cache of query decompositions (DecomposeQuery is pure in the
 //    query + options, so cached plans are bit-identical to fresh ones);
-//  - a shared LRU cache of node-matcher candidate lists, installed into
-//    both engines' matchers;
-//  - per-service counters: QPS, cache hit rates, queue depth, in-flight
-//    gauge, and a p50/p95/max latency histogram;
+//  - a shared LRU cache of node-matcher name candidate lists, installed
+//    into the engine's matcher;
+//  - per-service counters: QPS, per-mode query counts, cache hit rates,
+//    queue depth, in-flight gauge, and a p50/p95/max latency histogram;
 //  - overload safety: a bounded admission gate (service/admission.h) that
 //    fails fast with kResourceExhausted instead of queueing without limit,
 //    plus per-request deadlines and cooperative cancellation
 //    (EngineOptions::deadline_micros / ::cancel) that stop a running query
 //    between node expansions with kDeadlineExceeded / kCancelled.
+//
+// Three entry points, one per call style: Query (synchronous), Submit
+// (asynchronous) and QueryAdmitted (synchronous, admission already held by
+// the caller); the first two admit and then run the third.
 //
 // Thread-safety: all public methods may be called concurrently from any
 // thread. The service holds no naked locks of its own — its mutable state
@@ -40,7 +45,6 @@
 #include <string>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "service/admission.h"
 #include "service/service_stats.h"
 #include "util/lru_cache.h"
@@ -48,8 +52,7 @@
 
 namespace kgsearch {
 
-/// Serving-layer knobs (per-query knobs stay in EngineOptions /
-/// TimeBoundedOptions).
+/// Serving-layer knobs (per-query knobs stay in EngineOptions).
 struct QueryServiceOptions {
   /// Worker threads in the shared pool; 0 = std::thread::hardware_concurrency
   /// (minimum 2 so async queries overlap even on tiny machines). Ignored
@@ -62,8 +65,7 @@ struct QueryServiceOptions {
   ThreadPool* executor = nullptr;
   /// Entries in the decomposition plan cache; 0 disables it.
   size_t decomposition_cache_capacity = 512;
-  /// Entries per kind (name/type) in the shared matcher candidate cache;
-  /// 0 disables it.
+  /// Entries in the shared matcher name-candidate cache; 0 disables it.
   size_t matcher_cache_capacity = 4096;
   /// Admission control (see service/admission.h): capacity for requests
   /// admitted to execute immediately. 0 = admission control off (the
@@ -96,44 +98,33 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Synchronous SGQ query on the shared executor. `options.executor` and
-  /// `options.threads` are overridden by the service's pool. With
-  /// admission control on, over-limit requests return kResourceExhausted
-  /// without executing; an expired `options.deadline_micros` or cancelled
-  /// `options.cancel` returns kDeadlineExceeded / kCancelled.
+  /// Synchronous query on the shared executor: SGQ, or TBQ when
+  /// `options.time_bound` is set. `options.executor` and `options.threads`
+  /// are overridden by the service's pool. With admission control on,
+  /// over-limit requests return kResourceExhausted without executing; an
+  /// expired `options.deadline_micros` or cancelled `options.cancel`
+  /// returns kDeadlineExceeded / kCancelled.
   Result<QueryResult> Query(const QueryGraph& query, EngineOptions options,
                             RequestPriority priority =
                                 RequestPriority::kNormal);
 
-  /// Asynchronous SGQ query: enqueues on the shared pool and returns a
-  /// future. Admission is decided HERE (fail fast), not when the task
-  /// starts; an absolute deadline therefore counts queue wait.
+  /// Asynchronous query: enqueues on the shared pool and returns a future.
+  /// Admission is decided HERE (fail fast), not when the task starts; an
+  /// absolute deadline therefore counts queue wait.
   std::future<Result<QueryResult>> Submit(QueryGraph query,
                                           EngineOptions options,
                                           RequestPriority priority =
                                               RequestPriority::kNormal);
 
-  /// Synchronous TBQ query on the shared executor.
-  Result<TimeBoundedResult> QueryTimeBounded(const QueryGraph& query,
-                                             TimeBoundedOptions options,
-                                             RequestPriority priority =
-                                                 RequestPriority::kNormal);
-
-  /// Asynchronous TBQ query.
-  std::future<Result<TimeBoundedResult>> SubmitTimeBounded(
-      QueryGraph query, TimeBoundedOptions options,
-      RequestPriority priority = RequestPriority::kNormal);
-
   /// Execution for a caller that already holds a slot on
   /// mutable_admission() (the KgSession facade admits async requests at
   /// submission time so its session-level queue stays bounded, then runs
   /// them here without a second gate). The caller owes exactly one
-  /// Release() — use AdmissionSlot. Deadline/cancel handling and all
-  /// counters behave exactly as in Query/QueryTimeBounded.
+  /// Release() — use AdmissionSlot. Query and Submit admit, then run this:
+  /// deadline fast path, decomposition cache, engine call, outcome
+  /// counters.
   Result<QueryResult> QueryAdmitted(const QueryGraph& query,
                                     EngineOptions options);
-  Result<TimeBoundedResult> QueryTimeBoundedAdmitted(
-      const QueryGraph& query, TimeBoundedOptions options);
 
   /// Point-in-time counter snapshot.
   [[nodiscard]] ServiceStatsSnapshot Stats() const;
@@ -147,33 +138,16 @@ class QueryService {
   ThreadPool* executor() const {
     return external_pool_ != nullptr ? external_pool_ : owned_pool_.get();
   }
-  const SgqEngine& sgq_engine() const { return sgq_; }
-  const TbqEngine& tbq_engine() const { return tbq_; }
 
  private:
   /// RAII guard updating the in-flight gauge, latency histogram, and
   /// success/failure counters around one query execution.
   class FlightTracker;
 
-  /// Shared machinery behind Submit/SubmitTimeBounded: admission at
-  /// submission time, enqueue `run` on the pool tracking queue depth,
-  /// resolve the promise with an error when the pool is shutting down.
-  /// `run` must be the post-admission execution (ExecuteSgq/ExecuteTbq).
-  template <typename ResultT, typename RunFn>
-  std::future<ResultT> SubmitImpl(RunFn run, RequestPriority priority);
-
-  /// Execution after admission: deadline fast path, decomposition cache,
-  /// engine call, outcome classification. Both sync entry points and the
-  /// async tasks land here; the admission slot is released by the caller.
-  Result<QueryResult> ExecuteSgq(const QueryGraph& query,
-                                 EngineOptions options);
-  Result<TimeBoundedResult> ExecuteTbq(const QueryGraph& query,
-                                       TimeBoundedOptions options);
-
   /// Bumps the cancelled/deadline-exceeded counters for a finished query.
   void ClassifyOutcome(const Status& status);
 
-  /// The decomposition plan, via the LRU cache (both SGQ and TBQ traffic).
+  /// The decomposition plan, via the LRU cache (SGQ and TBQ traffic alike).
   /// `view` is the graph the query will actually run against (a pinned
   /// live-ingest snapshot, or the base graph); its epoch is part of the
   /// cache key, so a plan computed against one epoch is never replayed
@@ -189,8 +163,7 @@ class QueryService {
   /// trackers can tell a blue-green service replacement from counter
   /// movement (see ServiceStatsSnapshot::generation).
   const uint64_t generation_;
-  SgqEngine sgq_;
-  TbqEngine tbq_;
+  SgqEngine engine_;
   std::shared_ptr<MatcherCandidateCache> matcher_cache_;  ///< may be null
   LruCache<std::string, Decomposition> decomposition_cache_;
 

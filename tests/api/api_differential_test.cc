@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "api/session.h"
-#include "core/time_bounded.h"
 #include "eval/harness.h"
 #include "gen/car_domain.h"
 #include "gen/synthetic_kg.h"
@@ -139,19 +138,20 @@ TEST_F(ApiDifferentialTest, BatchBitIdenticalToSync) {
 }
 
 // TBQ with a generous bound is exact and deterministic (Lemma 7 territory):
-// the facade must be bit-identical to a direct TbqEngine run, and both must
-// equal the unbounded SGQ answers.
+// the facade must be bit-identical to a direct bounded engine run, and both
+// must equal the unbounded SGQ answers.
 TEST_F(ApiDifferentialTest, TbqBitIdenticalToDirectEngine) {
   const KnowledgeGraph* graph = session_->graph("car");
   const PredicateSpace* space = session_->space("car");
   const TransformationLibrary* library = session_->library("car");
   ASSERT_NE(graph, nullptr);
 
-  TbqEngine direct(graph, space, library);
+  SgqEngine direct(graph, space, library);
   RequestOptions api_options;
   api_options.k = 15;
   api_options.time_bound_micros = 30'000'000;  // generous: nothing stops
-  const TimeBoundedOptions tbq_options = ToTimeBoundedOptions(api_options);
+  const EngineOptions tbq_options =
+      ToEngineOptions(api_options, QueryMode::kTbq);
 
   for (int variant = 1; variant <= 4; ++variant) {
     const QueryGraph query = MakeQ117Variant(variant);

@@ -83,19 +83,22 @@ TEST(RequestOptionsTest, DefaultsMatchEngineDefaults) {
   EXPECT_EQ(engine.threads, engine_defaults.threads);
   EXPECT_EQ(engine.executor, nullptr);
 
-  const TimeBoundedOptions tbq = ToTimeBoundedOptions(options);
-  const TimeBoundedOptions tbq_defaults;
-  EXPECT_EQ(tbq.k, tbq_defaults.k);
-  EXPECT_EQ(tbq.tau, tbq_defaults.tau);
-  EXPECT_EQ(tbq.n_hat, tbq_defaults.n_hat);
-  EXPECT_EQ(tbq.time_bound_micros, tbq_defaults.time_bound_micros);
-  EXPECT_EQ(tbq.alert_ratio, tbq_defaults.alert_ratio);
-  EXPECT_EQ(tbq.per_match_assembly_micros,
+  EXPECT_FALSE(engine.time_bound.has_value());  // a default request is SGQ
+
+  const EngineOptions tbq = ToEngineOptions(options, QueryMode::kTbq);
+  ASSERT_TRUE(tbq.time_bound.has_value());
+  const TimeBound tbq_defaults;
+  EXPECT_EQ(tbq.k, engine_defaults.k);
+  EXPECT_EQ(tbq.tau, engine_defaults.tau);
+  EXPECT_EQ(tbq.n_hat, engine_defaults.n_hat);
+  EXPECT_EQ(tbq.time_bound->micros, tbq_defaults.micros);
+  EXPECT_EQ(tbq.time_bound->alert_ratio, tbq_defaults.alert_ratio);
+  EXPECT_EQ(tbq.time_bound->per_match_assembly_micros,
             tbq_defaults.per_match_assembly_micros);
-  EXPECT_EQ(tbq.match_cap, tbq_defaults.match_cap);
-  EXPECT_EQ(tbq.stop_check_interval, tbq_defaults.stop_check_interval);
-  EXPECT_EQ(tbq.max_expansions, tbq_defaults.max_expansions);
-  EXPECT_EQ(tbq.dedup, tbq_defaults.dedup);
+  EXPECT_EQ(tbq.time_bound->match_cap, tbq_defaults.match_cap);
+  EXPECT_EQ(tbq.stop_check_interval, engine_defaults.stop_check_interval);
+  EXPECT_EQ(tbq.max_expansions, engine_defaults.max_expansions);
+  EXPECT_EQ(tbq.dedup, engine_defaults.dedup);
 }
 
 TEST(QueryGraphCodecTest, RoundTrip) {

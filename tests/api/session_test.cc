@@ -305,6 +305,34 @@ TEST(KgSessionQueryTest, QueryJsonRejectsHopBudgetBeyondSearchStateRange) {
   }
 }
 
+TEST(KgSessionQueryTest, QueryJsonRejectsAlertRatioOutsideUnitInterval) {
+  // alert_ratio is wire-settable. Above 1 the alert threshold T·r% is never
+  // reached, so a "time-bounded" query would ignore its bound and run to
+  // queue exhaustion; at or below 0 it would stop before the first poll.
+  KgSession session;
+  ASSERT_TRUE(RegisterCars(&session).ok());
+  QueryRequest request = CarRequest("?Car product GER");
+  request.mode = QueryMode::kTbq;
+  for (double ratio : {1e300, 1.5, 0.0, -0.8}) {
+    request.options.alert_ratio = ratio;
+    const std::string rejected =
+        session.QueryJson(EncodeQueryRequestJson(request));
+    auto parsed = JsonValue::Parse(rejected);
+    ASSERT_TRUE(parsed.ok()) << rejected;
+    ASSERT_NE(parsed.ValueOrDie().Find("error"), nullptr) << rejected;
+    EXPECT_EQ(parsed.ValueOrDie().Find("error")->Find("code")->string_value(),
+              "InvalidArgument")
+        << rejected;
+  }
+
+  request.options.alert_ratio = 1.0;
+  const std::string accepted =
+      session.QueryJson(EncodeQueryRequestJson(request));
+  auto response = DecodeQueryResponseJson(accepted);
+  ASSERT_TRUE(response.ok()) << accepted;
+  EXPECT_FALSE(response.ValueOrDie().answers.empty());
+}
+
 /// Parks every worker of the session's shared pool until Release() is
 /// called; the constructor returns once all workers are parked, so
 /// subsequent submissions verifiably stay queued.

@@ -55,9 +55,9 @@ TEST_F(AdaptersTest, SgqHandlesAllVariants) {
 
 TEST_F(AdaptersTest, TbqMethodApproachesSgqWithGenerousBound) {
   SgqMethod sgq(context_, EngineOptions{});
-  TimeBoundedOptions toptions;
-  toptions.time_bound_micros = 5'000'000;  // generous
-  TbqMethod tbq("TBQ-test", context_, toptions);
+  EngineOptions toptions;
+  toptions.time_bound = TimeBound{.micros = 5'000'000};  // generous
+  SgqMethod tbq(context_, toptions, "TBQ-test");
   EXPECT_EQ(tbq.name(), "TBQ-test");
 
   auto a = sgq.QueryTopK(MakeQ117Variant(4), 0, 40);
@@ -67,10 +67,10 @@ TEST_F(AdaptersTest, TbqMethodApproachesSgqWithGenerousBound) {
 }
 
 TEST_F(AdaptersTest, TbqTimeBoundIsAdjustable) {
-  TimeBoundedOptions toptions;
-  toptions.time_bound_micros = 1'000'000;
-  TbqMethod tbq("TBQ-0.9", context_, toptions);
-  tbq.set_time_bound_micros(500);
+  EngineOptions toptions;
+  toptions.time_bound = TimeBound{.micros = 1'000'000};
+  SgqMethod tbq(context_, toptions, "TBQ-0.9");
+  tbq.mutable_options()->time_bound->micros = 500;
   auto result = tbq.QueryTopK(MakeQ117Variant(4), 0, 40);
   ASSERT_TRUE(result.ok());  // may be partial but must not error
 }

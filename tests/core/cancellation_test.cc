@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "gen/car_domain.h"
 #include "testing/test_world.h"
 #include "util/cancel.h"
@@ -240,24 +239,24 @@ TEST_F(EngineCancellationTest, SgqGenerousDeadlineIsBitIdentical) {
 
 TEST_F(EngineCancellationTest, TbqAlreadyExpiredDeadlineFailsFast) {
   ManualClock clock(1'000'000);
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library, &clock);
-  TimeBoundedOptions options;
+  EngineOptions options;
   options.deadline_micros = 999'999;
-  options.per_match_assembly_micros = 0.5;
+  options.time_bound = TimeBound{.per_match_assembly_micros = 0.5};
   auto result = engine.Query(MakeQ117Variant(4), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(EngineCancellationTest, TbqPreCancelledTokenFailsFast) {
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   CancelToken token;
   token.Cancel();
-  TimeBoundedOptions options;
+  EngineOptions options;
   options.cancel = &token;
-  options.per_match_assembly_micros = 0.5;
+  options.time_bound = TimeBound{.per_match_assembly_micros = 0.5};
   auto result = engine.Query(MakeQ117Variant(4), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
@@ -271,14 +270,14 @@ TEST_F(EngineCancellationTest, TbqCancelledMidSearchAborts) {
   // kCancelled, not as a partial anytime result.
   CancelToken token;
   AdvancingClock clock(&token, 20);
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library, &clock);
-  TimeBoundedOptions options;
+  EngineOptions options;
   options.threads = 1;
   options.stop_check_interval = 1;
-  options.time_bound_micros = 1'000'000'000'000LL;
+  options.time_bound = TimeBound{.micros = 1'000'000'000'000LL,
+                                 .per_match_assembly_micros = 0.0001};
   options.deadline_micros = 1'000'000'000'000LL;
-  options.per_match_assembly_micros = 0.0001;
   options.cancel = &token;
   auto result = engine.Query(MakeQ117Variant(4), options);
   ASSERT_FALSE(result.ok());
@@ -288,19 +287,19 @@ TEST_F(EngineCancellationTest, TbqCancelledMidSearchAborts) {
 TEST_F(EngineCancellationTest, TbqGenerousDeadlineKeepsAnytimeSemantics) {
   // A deadline that never binds must not disturb the paper's soft-budget
   // behavior: generous bound + generous deadline == generous bound alone.
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
-  TimeBoundedOptions plain;
+  EngineOptions plain;
   plain.k = 20;
   plain.threads = 1;
-  plain.time_bound_micros = 1'000'000'000;
-  plain.per_match_assembly_micros = 0.5;
+  plain.time_bound = TimeBound{.micros = 1'000'000'000,
+                               .per_match_assembly_micros = 0.5};
   auto reference = engine.Query(MakeQ117Variant(4), plain);
   ASSERT_TRUE(reference.ok());
   ASSERT_FALSE(reference.ValueOrDie().stopped_by_time);
 
   CancelToken token;
-  TimeBoundedOptions bounded = plain;
+  EngineOptions bounded = plain;
   bounded.deadline_micros =
       SystemClock::Default()->NowMicros() + 3'600'000'000LL;
   bounded.cancel = &token;

@@ -1,4 +1,4 @@
-// Deterministic TbqEngine convergence tests driven by ManualClock: with a
+// Deterministic TBQ convergence tests driven by ManualClock: with a
 // frozen clock the Algorithm 3 estimator reduces to a pure match-count
 // budget, so stop decisions (and therefore results) are exactly
 // reproducible — no wall-clock noise, no scheduling noise (threads = 1).
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time_bounded.h"
 #include "gen/car_domain.h"
 #include "util/clock.h"
 
@@ -28,14 +27,14 @@ class TbqConvergenceTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  static TimeBoundedOptions BaseOptions(size_t k, int64_t bound_micros) {
-    TimeBoundedOptions options;
+  static EngineOptions BaseOptions(size_t k, int64_t bound_micros) {
+    EngineOptions options;
     options.k = k;
-    options.time_bound_micros = bound_micros;
+    // Frozen clock => estimate == total_matches * t: a pure match budget.
+    options.time_bound = TimeBound{.micros = bound_micros,
+                                   .per_match_assembly_micros = 1.0};
     options.threads = 1;
     options.stop_check_interval = 1;
-    // Frozen clock => estimate == total_matches * t: a pure match budget.
-    options.per_match_assembly_micros = 1.0;
     return options;
   }
 
@@ -49,7 +48,7 @@ GeneratedDataset* TbqConvergenceTest::dataset_ = nullptr;
 // unbounded SGQ answers exactly — same entities, same ranking.
 TEST_F(TbqConvergenceTest, GenerousBoundMatchesUnboundedSgqExactly) {
   ManualClock clock(0);  // frozen: elapsed time never accrues
-  TbqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
                 &dataset_->library, &clock);
   const size_t k = 100;  // large enough to cover every reachable answer
 
@@ -77,13 +76,13 @@ TEST_F(TbqConvergenceTest, GenerousBoundMatchesUnboundedSgqExactly) {
 // equal to the sum of part pss values, ranked non-increasing.
 TEST_F(TbqConvergenceTest, TinyBoundReturnsWellFormedTopK) {
   ManualClock clock(0);
-  TbqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
                 &dataset_->library, &clock);
   const size_t k = 5;
   // alert threshold = 10 * 0.8 = 8 "microseconds" => stop after 8 matches.
   auto result = tbq.Query(MakeQ117Variant(4), BaseOptions(k, 10));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const TimeBoundedResult& r = result.ValueOrDie();
+  const QueryResult& r = result.ValueOrDie();
   EXPECT_TRUE(r.stopped_by_time);
   EXPECT_LE(r.matches.size(), k);
 
@@ -111,11 +110,11 @@ TEST_F(TbqConvergenceTest, TinyBoundReturnsWellFormedTopK) {
 TEST_F(TbqConvergenceTest, FrozenClockRunsAreReproducible) {
   for (int64_t bound : {10, 50, 1'000'000'000}) {
     ManualClock clock_a(0);
-    TbqEngine engine_a(dataset_->graph.get(), dataset_->space.get(),
+    SgqEngine engine_a(dataset_->graph.get(), dataset_->space.get(),
                        &dataset_->library, &clock_a);
     auto a = engine_a.Query(MakeQ117Variant(4), BaseOptions(10, bound));
     ManualClock clock_b(0);
-    TbqEngine engine_b(dataset_->graph.get(), dataset_->space.get(),
+    SgqEngine engine_b(dataset_->graph.get(), dataset_->space.get(),
                        &dataset_->library, &clock_b);
     auto b = engine_b.Query(MakeQ117Variant(4), BaseOptions(10, bound));
     ASSERT_TRUE(a.ok() && b.ok()) << "bound " << bound;
@@ -134,7 +133,7 @@ TEST_F(TbqConvergenceTest, FrozenClockRunsAreReproducible) {
 // inclusion count against the converged answers) as the bound grows.
 TEST_F(TbqConvergenceTest, AnswerQualityMonotoneInMatchBudget) {
   ManualClock ref_clock(0);
-  TbqEngine ref_engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine ref_engine(dataset_->graph.get(), dataset_->space.get(),
                        &dataset_->library, &ref_clock);
   auto converged =
       ref_engine.Query(MakeQ117Variant(4), BaseOptions(40, 1'000'000'000));
@@ -145,7 +144,7 @@ TEST_F(TbqConvergenceTest, AnswerQualityMonotoneInMatchBudget) {
   size_t prev_overlap = 0;
   for (int64_t bound : {5, 20, 100, 1'000, 1'000'000'000}) {
     ManualClock clock(0);
-    TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+    SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                      &dataset_->library, &clock);
     auto result = engine.Query(MakeQ117Variant(4), BaseOptions(40, bound));
     ASSERT_TRUE(result.ok()) << "bound " << bound;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 #include <set>
 
 #include "eval/metrics.h"
@@ -30,10 +32,10 @@ GeneratedDataset* TimeBoundedTest::dataset_ = nullptr;
 
 /// Runs TBQ with a manual clock that advances a fixed amount per A* pop,
 /// making the "time" bound a deterministic expansion budget.
-Result<TimeBoundedResult> RunWithVirtualTime(const GeneratedDataset& ds,
-                                             const QueryGraph& query,
-                                             int64_t bound_micros, size_t k) {
-  // The expansion hook is not exposed through TbqEngine (it drives real
+Result<QueryResult> RunWithVirtualTime(const GeneratedDataset& ds,
+                                       const QueryGraph& query,
+                                       int64_t bound_micros, size_t k) {
+  // The expansion hook is not exposed through SgqEngine (it drives real
   // searches); instead we advance the clock from the should-stop polling by
   // configuring a 1-pop check interval and advancing on each poll via a
   // wrapper clock.
@@ -46,13 +48,13 @@ Result<TimeBoundedResult> RunWithVirtualTime(const GeneratedDataset& ds,
     mutable int64_t reads_ = 0;
   };
   static PollCountingClock clock;  // shared across calls; monotone anyway
-  TbqEngine engine(ds.graph.get(), ds.space.get(), &ds.library, &clock);
-  TimeBoundedOptions options;
+  SgqEngine engine(ds.graph.get(), ds.space.get(), &ds.library, &clock);
+  EngineOptions options;
   options.k = k;
-  options.time_bound_micros = bound_micros;
+  options.time_bound =
+      TimeBound{.micros = bound_micros, .per_match_assembly_micros = 0.01};
   options.threads = 1;
   options.stop_check_interval = 1;
-  options.per_match_assembly_micros = 0.01;
   return engine.Query(query, options);
 }
 
@@ -114,33 +116,94 @@ TEST_F(TimeBoundedTest, EnoughTimeMatchesSgqAnswers) {
 }
 
 TEST_F(TimeBoundedTest, InvalidOptionsRejected) {
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   QueryGraph q = MakeQ117Variant(4);
-  TimeBoundedOptions options;
+  EngineOptions options;
+  options.time_bound = TimeBound{};
   options.k = 0;
   EXPECT_FALSE(engine.Query(q, options).ok());
   options.k = 5;
-  options.time_bound_micros = 0;
+  options.time_bound->micros = 0;
   EXPECT_FALSE(engine.Query(q, options).ok());
+}
+
+TEST_F(TimeBoundedTest, AlertRatioOutsideUnitIntervalRejected) {
+  // Above 1 the alert threshold T·r% is never reached, so the "bounded"
+  // query would ignore T and run to queue exhaustion.
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+                   &dataset_->library);
+  QueryGraph q = MakeQ117Variant(4);
+  EngineOptions options;
+  options.time_bound = TimeBound{.per_match_assembly_micros = 0.5};
+  for (double ratio : {0.0, -0.5, 1.0 + 1e-9, 1e300,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    options.time_bound->alert_ratio = ratio;
+    auto result = engine.Query(q, options);
+    ASSERT_FALSE(result.ok()) << "alert_ratio " << ratio;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (double ratio : {1e-6, 0.8, 1.0}) {
+    options.time_bound->alert_ratio = ratio;
+    EXPECT_TRUE(engine.Query(q, options).ok()) << "alert_ratio " << ratio;
+  }
 }
 
 TEST_F(TimeBoundedTest, CalibrationReturnsPositiveCost) {
   const double t =
-      TbqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
+      SgqEngine::CalibrateAssemblyCostMicros(SystemClock::Default());
   EXPECT_GT(t, 0.0);
   EXPECT_LT(t, 10'000.0);  // sanity: below 10ms per match
   ManualClock manual(0);
-  EXPECT_GT(TbqEngine::CalibrateAssemblyCostMicros(&manual), 0.0);
+  EXPECT_EQ(SgqEngine::CalibrateAssemblyCostMicros(&manual), 1.0);
+}
+
+TEST_F(TimeBoundedTest, OneCalibrationServesEveryBoundedQuery) {
+  // A frozen clock that counts its reads. Calibration reads it twice; the
+  // rest of a query reads it a fixed number of times (the query's watch and
+  // the estimator's polls, deterministic with threads = 1 and a bound that
+  // never fires), so the read count shows which query calibrated.
+  class CountingClock : public Clock {
+   public:
+    int64_t NowMicros() const override {
+      reads.fetch_add(1, std::memory_order_relaxed);
+      return 0;
+    }
+    mutable std::atomic<int64_t> reads{0};
+  };
+  CountingClock clock;
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+                   &dataset_->library, &clock);
+  const QueryGraph q = MakeQ117Variant(4);
+  const auto reads_of = [&](const EngineOptions& options) {
+    const int64_t before = clock.reads.load();
+    EXPECT_TRUE(engine.Query(q, options).ok());
+    return clock.reads.load() - before;
+  };
+
+  EngineOptions sgq;
+  sgq.threads = 1;
+  const int64_t sgq_reads = reads_of(sgq);
+  EXPECT_EQ(reads_of(sgq), sgq_reads);  // SGQ never calibrates
+
+  EngineOptions tbq = sgq;
+  tbq.time_bound = TimeBound{.micros = 1'000'000'000};  // t left unset
+  const int64_t first = reads_of(tbq);
+  const int64_t later = reads_of(tbq);
+  EXPECT_EQ(first, later + 2);  // only the first bounded query calibrated
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(reads_of(tbq), later);
+  // A caller-supplied t bypasses the calibration altogether.
+  tbq.time_bound->per_match_assembly_micros = 1.0;
+  EXPECT_EQ(reads_of(tbq), later);
 }
 
 TEST_F(TimeBoundedTest, RealClockRespectsBoundLoosely) {
-  TbqEngine engine(dataset_->graph.get(), dataset_->space.get(),
+  SgqEngine engine(dataset_->graph.get(), dataset_->space.get(),
                    &dataset_->library);
   QueryGraph q = MakeQ117Variant(4);
-  TimeBoundedOptions options;
+  EngineOptions options;
   options.k = 20;
-  options.time_bound_micros = 50'000;  // 50 ms
+  options.time_bound = TimeBound{.micros = 50'000};  // 50 ms
   options.stop_check_interval = 16;
   auto result = engine.Query(q, options);
   ASSERT_TRUE(result.ok());

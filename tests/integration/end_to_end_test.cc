@@ -7,7 +7,6 @@
 #include <set>
 
 #include "baselines/adapters.h"
-#include "core/time_bounded.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "gen/workload.h"
@@ -145,12 +144,10 @@ TEST_F(EndToEndTest, TbqConvergesToSgqOnStarQuery) {
   auto ref = sgq.Query(q.query, options);
   ASSERT_TRUE(ref.ok());
 
-  TbqEngine tbq(dataset_->graph.get(), dataset_->space.get(),
-                &dataset_->library);
-  TimeBoundedOptions toptions;
+  EngineOptions toptions;
   toptions.k = 30;
-  toptions.time_bound_micros = 5'000'000;
-  auto approx = tbq.Query(q.query, toptions);
+  toptions.time_bound = TimeBound{.micros = 5'000'000};
+  auto approx = sgq.Query(q.query, toptions);
   ASSERT_TRUE(approx.ok());
   EXPECT_GT(Jaccard(approx.ValueOrDie().AnswerIds(),
                     ref.ValueOrDie().AnswerIds()),

@@ -48,13 +48,5 @@ TEST_F(NodeMatcherTest, MatchTypesViaSynonym) {
   EXPECT_EQ(graph_.TypeName(types[0]), "Automobile");
 }
 
-TEST_F(NodeMatcherTest, MatchByTypeReturnsAllMembers) {
-  NodeMatcher matcher(&graph_, &library_);
-  auto m = matcher.MatchByType("Car");
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_EQ(matcher.MatchByType("Automobile").size(), 2u);
-  EXPECT_TRUE(matcher.MatchByType("Planet").empty());
-}
-
 }  // namespace
 }  // namespace kgsearch

@@ -82,8 +82,8 @@ TEST(ServerIntegrationTest, ConcurrentClientsGetBitIdenticalAnswers) {
   TcpServer server(&session);
   ASSERT_TRUE(server.Start().ok());
 
-  // Three distinct requests with known answers (the third runs the TBQ
-  // engine, so both engines are exercised concurrently).
+  // Three distinct requests with known answers (the third is a TBQ
+  // request, so both modes are exercised concurrently).
   QueryRequest tbq = CarRequest("?Car product GER");
   tbq.mode = QueryMode::kTbq;
   tbq.options.time_bound_micros = 10'000'000;

@@ -200,10 +200,10 @@ TEST_F(ServiceAdmissionTest, ExpiredDeadlineCountsAndFailsFast) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 
-  TimeBoundedOptions tbq;
+  EngineOptions tbq;
   tbq.deadline_micros = 1'000'000;
-  tbq.per_match_assembly_micros = 0.5;
-  auto t = service.QueryTimeBounded(MakeQ117Variant(4), tbq);
+  tbq.time_bound = TimeBound{.per_match_assembly_micros = 0.5};
+  auto t = service.Query(MakeQ117Variant(4), tbq);
   ASSERT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kDeadlineExceeded);
 
